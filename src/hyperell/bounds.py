@@ -29,7 +29,6 @@ import numpy as np
 from .argfunc import argument_sum, jump_limits, log_modulus
 from .bernoulli import bernoulli_envelope_constants, default_table
 from .charsum import Character
-from .errors import SoundnessError
 from .fqpoly import FieldSpec, Poly, enumerate_Hd
 from .lfunc import ZeroAngles, compute_lpolynomial, find_zero_angles, power_sum
 from .onesided import construct_one_sided, interval_polys
@@ -271,13 +270,6 @@ def empirical_extrema(
     min_value = min(float(-fx_lo[lo]), float(vals.min()))
     argmin = float(xs_lo[lo] % 1.0) if -fx_lo[lo] <= vals.min() else float(grid[np.argmin(vals)])
     return EmpiricalExtrema(max_value, argmax, min_value, argmin)
-
-
-def empirical_max(
-    zeros: ZeroAngles, target: str, n: int | None, grid_size: int = DEFAULT_GRID
-) -> tuple[float, float]:
-    ext = empirical_extrema(zeros, target, n, grid_size)
-    return ext.max_value, ext.argmax
 
 
 # ---------------------------------------------------------------------------

@@ -12,24 +12,21 @@ modulus, because lam is a square mod a prime P iff lam^((|P|-1)/2) = 1 and
 (|P|-1)/(q-1) has the parity of deg P.  The brute-force Euler-criterion
 oracle that validates this rule lives in the test suite, never here.
 
-Character sums over all monic polynomials of a fixed degree reuse the
-complete multiplicativity of chi: a factorization sieve stores one
-prime-cofactor link per composite, the symbol is evaluated on primes only,
-and a single pass extends it to every monic polynomial.
+The only character sums computed here are twisted von Mangoldt sums,
+which need chi on primes only: each prime's symbol is evaluated once per
+character and cached.  Sums of chi over all monic polynomials of a degree
+are never enumerated; the L-polynomial gets them from the Euler product
+(see lfunc.compute_lpolynomial).
 """
 
 from __future__ import annotations
 
-import threading
-
-from .errors import ResourceLimitError, UnsupportedDegreeError
+from .errors import UnsupportedDegreeError
 from .fqpoly import (
-    ENUMERATION_BUDGET,
     FieldSpec,
     Poly,
     _legendre_table,
     _mod,
-    _mul,
     _squarefree_tuple,
     divisors,
     get_prime_table,
@@ -91,70 +88,6 @@ def lambda_sum(field: FieldSpec, k: int, table=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Factorization sieve shared by all characters over the same field
-# ---------------------------------------------------------------------------
-
-
-class _CharSieve:
-    """One prime-cofactor link per monic polynomial of degree <= cap.
-
-    links[m][i] is None when the i-th monic degree-m polynomial is prime,
-    else a tuple (a, ia, b, ib) meaning it factors as the degree-a block
-    entry ia times the degree-b block entry ib.  Any prime factor works;
-    the sieve keeps the first one found, deterministically.
-    """
-
-    def __init__(self, q: int, cap: int):
-        self.q = q
-        self.cap = cap
-        self.tuples: list[list[tuple]] = [[(1,)]]
-        self.links: list[list] = [[None]]
-        self.primes: list[list[int]] = [[]]  # per degree, full-block indices
-        for m in range(1, cap + 1):
-            block = [self._decode(m, i) for i in range(q**m)]
-            self.tuples.append(block)
-            links = [None] * len(block)
-            for a in range(1, m // 2 + 1):
-                for ia in self.primes[a]:
-                    p = self.tuples[a][ia]
-                    for ib, h in enumerate(self.tuples[m - a]):
-                        prod = _mul(p, h, q)
-                        idx = self._index(prod)
-                        if links[idx] is None:
-                            links[idx] = (a, ia, m - a, ib)
-            self.links.append(links)
-            self.primes.append([i for i, link in enumerate(links) if link is None])
-
-    def _decode(self, degree: int, index: int) -> tuple:
-        cs = []
-        t = index
-        for _ in range(degree):
-            cs.append(t % self.q)
-            t //= self.q
-        cs.append(1)
-        return tuple(cs)
-
-    def _index(self, coeffs: tuple) -> int:
-        acc = 0
-        for c in reversed(coeffs[:-1]):
-            acc = acc * self.q + c
-        return acc
-
-
-_SIEVE_LOCK = threading.Lock()
-_SIEVES: dict[int, _CharSieve] = {}
-
-
-def _get_char_sieve(q: int, cap: int) -> _CharSieve:
-    with _SIEVE_LOCK:
-        sieve = _SIEVES.get(q)
-        if sieve is None or sieve.cap < cap:
-            sieve = _CharSieve(q, cap)
-            _SIEVES[q] = sieve
-        return sieve
-
-
-# ---------------------------------------------------------------------------
 # The quadratic character chi_D
 # ---------------------------------------------------------------------------
 
@@ -162,8 +95,8 @@ def _get_char_sieve(q: int, cap: int) -> _CharSieve:
 class Character:
     """chi(f) = (D/f) for a monic squarefree D of odd degree d = 2g+1.
 
-    Immutable after construction; the per-prime symbol cache and the
-    per-degree value blocks fill once and may be read concurrently.
+    Immutable after construction apart from the per-prime symbol cache,
+    whose entries are pure functions of the prime.
     """
 
     def __init__(self, D: Poly):
@@ -182,8 +115,6 @@ class Character:
         self.g = (D.degree - 1) // 2
         self._leg = _legendre_table(D.q)
         self._prime_chi: dict[tuple, int] = {}
-        self._blocks: list[list[int]] = [[1]]
-        self._lock = threading.Lock()
 
     @property
     def q(self) -> int:
@@ -207,45 +138,6 @@ class Character:
             val = _symbol(self.D.coeffs, coeffs, self.q, self._leg)
             self._prime_chi[coeffs] = val
         return val
-
-    def _ensure_blocks(self, cap: int):
-        if len(self._blocks) > cap:
-            return
-        if self.q**cap > ENUMERATION_BUDGET:
-            raise ResourceLimitError(
-                f"character block at degree {cap} over F_{self.q} exceeds the budget",
-                degree=cap,
-            )
-        with self._lock:
-            if len(self._blocks) > cap:
-                return
-            sieve = _get_char_sieve(self.q, cap)
-            blocks = list(self._blocks)
-            for m in range(len(blocks), cap + 1):
-                links = sieve.links[m]
-                tuples = sieve.tuples[m]
-                out = [0] * len(links)
-                for i, link in enumerate(links):
-                    if link is None:
-                        out[i] = self._chi_prime(tuples[i])
-                    else:
-                        a, ia, b, ib = link
-                        out[i] = blocks[a][ia] * blocks[b][ib]
-                blocks.append(out)
-            self._blocks = blocks
-
-    def chi_block(self, k: int) -> list[int]:
-        """chi on every monic polynomial of degree k, in enumeration order."""
-        if k < 0:
-            raise ValueError(f"degree must be >= 0, got {k}")
-        self._ensure_blocks(k)
-        return self._blocks[k]
-
-    def coefficient_sum(self, k: int) -> int:
-        """Sum of chi over all monic polynomials of degree k (exact integer)."""
-        if k == 0:
-            return 1
-        return sum(self.chi_block(k))
 
     def twisted_lambda_sum(self, k: int, table=None) -> int:
         """Sum of chi(f) * Lambda(f) over monic f of degree k (exact integer).

@@ -3,8 +3,10 @@
 Four subcommands: lpoly (one modulus to JSON), scan (ensemble sweep to CSV
 plus a JSON manifest), extremal (one-sided polynomial coefficients plus
 certification), constants (the envelope-constant table).  Outcomes map to
-exit codes: 0 success, 2 bad input, 3 internal consistency failure, 4
-soundness violation, 5 certification failure.
+exit codes: 0 success, 2 bad input or a request over the enumeration
+budget, 3 internal consistency failure, 4 soundness violation (an
+empirical value above its rigorous bound), 5 certification or LP solver
+failure.  Every failure prints one line to stderr, never a traceback.
 
 Every command is deterministic given its flags (seeds included): reruns
 are byte-identical, and the scan's worker count (HYPERELL_THREADS) never
@@ -21,6 +23,7 @@ import math
 import subprocess
 import sys
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .bernoulli import (
 )
 from .bounds import SCAN_TARGETS, ScanConfig, ensemble_scan, parse_target
 from .charsum import Character
-from .errors import CertificationError, ConsistencyError, SoundnessError
+from .errors import CertificationError, ConsistencyError, ResourceLimitError, SolverError
 from .fqpoly import FieldSpec, is_squarefree, parse_poly
 from .lfunc import compute_lpolynomial, find_zero_angles, rh_radius_error
 from .onesided import construct_one_sided, interval_polys, oracle_mean
@@ -52,12 +55,15 @@ def _fmt(value) -> str:
 
 
 def git_describe() -> str:
+    """git describe of the checkout the package is imported from, not of
+    the caller's working directory; "unknown" outside a git checkout."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True,
             text=True,
             timeout=10,
+            cwd=Path(__file__).resolve().parent,
         )
         if out.returncode == 0:
             return out.stdout.strip()
@@ -403,17 +409,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except SoundnessError as exc:
-        print(f"soundness violation: {exc}", file=sys.stderr)
-        return EXIT_SOUNDNESS
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATION
+    except SolverError as exc:
+        print(f"LP solver failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
 
 

@@ -35,7 +35,3 @@ class SolverError(RuntimeError):
 
 class CertificationError(RuntimeError):
     """A one-sided approximation failed its certification pass."""
-
-
-class SoundnessError(RuntimeError):
-    """An empirical value exceeded its rigorous bound."""

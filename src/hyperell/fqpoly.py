@@ -278,13 +278,6 @@ class Poly:
             acc = (acc * a + c) % self.q
         return acc
 
-    def encode(self) -> int:
-        """Base-q integer encoding including the leading coefficient."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * self.q + c
-        return acc
-
     def monic_index(self) -> int:
         """Encoding of the non-leading coefficients (requires monic)."""
         if not self.is_monic:
@@ -469,10 +462,6 @@ class PrimeTable:
     def primes(self, m: int) -> Iterator[Poly]:
         for idx in self._block(m):
             yield Poly.decode_monic(self.field, m, int(idx))
-
-    def encoded_block(self, m: int) -> np.ndarray:
-        """Read-only view of the degree-m encodings."""
-        return self._block(m)
 
     def is_irreducible(self, f: Poly) -> bool:
         if not f.is_monic:

@@ -1,8 +1,14 @@
 """L-polynomials of quadratic characters and their critical-circle zeros.
 
-The polynomial L(u) = sum_k c_k u^k attached to a character has exact
-integer coefficients c_k = sum of chi over monic degree-k polynomials, its
-degree is 2g, and the functional equation forces c_(2g-k) = q^(g-k) c_k.
+The polynomial L(u) = sum over monic f of chi(f) u^(deg f) attached to a
+character has exact integer coefficients c_0..c_2g, and the functional
+equation forces c_(2g-k) = q^(g-k) c_k.  The coefficients are not summed
+directly over all monic polynomials: by the Euler product,
+L(u) = exp(sum_k s_k u^k / k) with the twisted prime power sums
+s_k = sum_{deg f = k} chi(f) Lambda(f), so c_1..c_g follow from s_1..s_g
+by the Newton identities and the symmetry gives the rest.  Only primes of
+degree <= g are ever enumerated.
+
 All zeros lie on |u| = q^(-1/2), so with u = q^(-1/2) e(theta) the real
 trigonometric polynomial
 
@@ -24,14 +30,14 @@ import numpy as np
 
 from .charsum import Character
 from .errors import ConsistencyError, RootIsolationError
-from .fqpoly import Poly
+from .fqpoly import Poly, get_prime_table
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class LPolynomial:
-    """Exact integer coefficients c_0..c_2g with the symmetry verified."""
+    """Exact integer coefficients c_0..c_2g, symmetry and Weil bound verified."""
 
     D: Poly
     c: tuple[int, ...]
@@ -48,6 +54,13 @@ class LPolynomial:
                     f"functional-equation symmetry fails at k={k}: "
                     f"c_{2*g-k} = {c[2*g-k]} but q^(g-k) c_{k} = {q**(g-k)*c[k]} "
                     f"(D = {self.D})"
+                )
+        for k in range(1, g + 1):
+            # Weil bound: c_k is a k-th elementary symmetric function of 2g
+            # numbers of absolute value sqrt(q)
+            if c[k] ** 2 > math.comb(2 * g, k) ** 2 * q**k:
+                raise ConsistencyError(
+                    f"c_{k} = {c[k]} exceeds the Weil bound C(2g,k) q^(k/2) (D = {self.D})"
                 )
 
     @property
@@ -75,14 +88,29 @@ class LPolynomial:
 
 
 def compute_lpolynomial(char: Character) -> LPolynomial:
-    """Assemble L(u) by direct character summation for every k <= 2g.
+    """Assemble L(u) from the Euler product and the functional equation.
 
-    The constructor then checks the functional-equation symmetry as exact
-    integer identities, so the upper half both is recomputed directly and
-    must match the symmetry fill; a mismatch means a character-sum bug.
+    The twisted sums s_1..s_g over primes of degree <= g give c_1..c_g by
+    the exact integer Newton identities k c_k = sum_{i=1..k} s_i c_(k-i);
+    the upper half is filled by c_(2g-k) = q^(g-k) c_k.  The constructor
+    then checks the Weil bound on every c_k, which the symmetry fill does
+    not make true by construction.
     """
-    c = tuple(char.coefficient_sum(k) for k in range(2 * char.g + 1))
-    return LPolynomial(char.D, c)
+    g, q = char.g, char.q
+    if g == 0:
+        return LPolynomial(char.D, (1,))
+    table = get_prime_table(char.field, g)
+    s = [0] + [char.twisted_lambda_sum(k, table) for k in range(1, g + 1)]
+    c = [1]
+    for k in range(1, g + 1):
+        ck, rem = divmod(sum(s[i] * c[k - i] for i in range(1, k + 1)), k)
+        if rem:
+            raise ConsistencyError(
+                f"Newton identity leaves remainder {rem} at k={k} (D = {char.D})"
+            )
+        c.append(ck)
+    c += [q ** (g - k) * c[k] for k in range(g - 1, -1, -1)]
+    return LPolynomial(char.D, tuple(c))
 
 
 class CosineSeries:

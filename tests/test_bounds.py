@@ -10,7 +10,6 @@ from hyperell.bounds import (
     choose_degree,
     degree_choice,
     empirical_extrema,
-    empirical_max,
     ensemble_scan,
     envelope,
     parse_target,
@@ -190,7 +189,8 @@ def test_s0_extrema_mirror_by_oddness(pipe_d5):
 
 def test_logmod_argmax_away_from_zeros(pipe_d5):
     for L, zeros in pipe_d5[:8]:
-        value, arg = empirical_max(zeros, "logmod", None, 2**12)
+        ext = empirical_extrema(zeros, "logmod", None, 2**12)
+        value, arg = ext.max_value, ext.argmax
         assert math.isfinite(value)
         dist = min(abs(arg - t) % 1.0 for t in zeros.theta)
         assert min(dist, 1.0 - dist) > 1e-4

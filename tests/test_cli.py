@@ -1,10 +1,14 @@
 import csv
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
-from conftest import run_cli
+from conftest import SRC, run_cli
 
+from hyperell import cli
 from hyperell.cli import RunConfig, rows_to_csv
+from hyperell.errors import SolverError
 
 
 # --- lpoly -------------------------------------------------------------------
@@ -25,6 +29,27 @@ def test_lpoly_rejects_even_degree():
     proc = run_cli("lpoly", "--q", "3", "--D", "x^2")
     assert proc.returncode == 2
     assert "odd" in proc.stderr or "squarefree" in proc.stderr
+
+
+def test_lpoly_large_degree():
+    # d = 17 needs primes of degree <= 8 only
+    proc = run_cli("lpoly", "--q", "3", "--D", "x^17+2x+1")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    c = payload["c"]
+    assert len(c) == 17 and c[0] == 1
+    for k in range(9):
+        assert c[16 - k] == 3 ** (8 - k) * c[k]
+    assert len(payload["theta"]) == 16
+    assert payload["rh_radius_err"] <= 1e-6
+
+
+def test_lpoly_over_budget_exits_2():
+    # the prime table at degree 9 over F_7 is over the enumeration budget
+    proc = run_cli("lpoly", "--q", "7", "--D", "x^19+x+1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_lpoly_rejects_bad_inputs():
@@ -109,6 +134,49 @@ def test_scan_config_file(tmp_path):
     assert (tmp_path / "from_config.csv").exists()
     rows = list(csv.DictReader((tmp_path / "from_config.csv").open()))
     assert len(rows) == 6
+
+
+def test_scan_over_budget_exits_2(tmp_path):
+    proc = run_cli("scan", "--q", "3", "--d", "17", "--out", str(tmp_path / "s.csv"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_solver_failure_exits_5(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SolverError("dual unbounded: the primal program is infeasible")
+
+    monkeypatch.setattr(cli, "construct_one_sided", fail)
+    code = cli.main(["extremal", "--target", "log2sin", "--side", "majorant", "--N", "4"])
+    assert code == 5
+    assert "LP solver failure" in capsys.readouterr().err
+
+
+def test_scan_records_package_describe(tmp_path):
+    # a scan started inside another git repository still describes the
+    # checkout the package comes from
+    other = tmp_path / "other"
+    other.mkdir()
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.org"]
+    subprocess.run(git + ["init", "-q"], cwd=other, check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], cwd=other, check=True)
+    other_describe = subprocess.run(
+        ["git", "describe", "--always", "--dirty"], cwd=other, capture_output=True, text=True
+    ).stdout.strip()
+    package = subprocess.run(
+        ["git", "describe", "--always", "--dirty"],
+        cwd=Path(SRC) / "hyperell", capture_output=True, text=True,
+    )
+    expected = package.stdout.strip() if package.returncode == 0 else "unknown"
+    proc = run_cli(
+        "scan", "--q", "3", "--d", "3", "--target", "s:0", "--sample", "random:2",
+        "--grid", "1024", "--out", "scan.csv", cwd=other,
+    )
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((other / "scan.manifest.json").read_text())
+    assert manifest["git_describe"] == expected
+    assert manifest["git_describe"] != other_describe
 
 
 def test_scan_rejects_even_degree():

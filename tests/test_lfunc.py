@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from charsum_oracle import direct_coefficients
 
 from hyperell.charsum import Character
 from hyperell.errors import ConsistencyError
@@ -61,11 +62,33 @@ def test_genus_one_weil_bound():
         assert abs(L.c[1]) <= 2 * math.sqrt(3) + 1e-12
 
 
+def test_euler_product_matches_direct_sums():
+    # every c_k, the symmetry-filled upper half included, against direct
+    # summation of chi over all monic polynomials of degree k
+    for q, d in ((3, 3), (3, 5), (5, 3), (7, 3)):
+        for D in enumerate_Hd(FieldSpec(q), d):
+            char = Character(D)
+            assert compute_lpolynomial(char).c == direct_coefficients(char), str(D)
+
+
+def test_genus_zero_is_constant():
+    L = compute_lpolynomial(Character(Poly.make(F5, (2, 1))))
+    assert L.c == (1,) and L.g == 0
+
+
 def test_constructor_rejects_broken_symmetry():
     with pytest.raises(ConsistencyError):
         LPolynomial(Poly.make(F3, (1, 2, 0, 1)), (1, 2, 4))  # c_2 must be 3 c_0
     with pytest.raises(ConsistencyError):
         LPolynomial(Poly.make(F3, (1, 2, 0, 1)), (2, 0, 6))  # c_0 must be 1
+
+
+def test_constructor_rejects_weil_violation():
+    # symmetric, but |c_1| = 4 > C(2,1) sqrt(3)
+    with pytest.raises(ConsistencyError, match="Weil"):
+        LPolynomial(Poly.make(F3, (1, 2, 0, 1)), (1, 4, 3))
+    # |c_1| = 3 is within the bound: this is L(u) for x^3+2x+1
+    LPolynomial(Poly.make(F3, (1, 2, 0, 1)), (1, 3, 3))
 
 
 # --- unitarization -----------------------------------------------------------
