@@ -23,11 +23,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .argfunc import argument_sum, jump_limits, log_modulus
-from .bernoulli import bernoulli_envelope_constants, default_table
+from .bernoulli import bernoulli_envelope_constants
 from .charsum import Character
 from .fqpoly import FieldSpec, Poly, enumerate_Hd
 from .lfunc import ZeroAngles, compute_lpolynomial, find_zero_angles, power_sum
@@ -110,6 +111,13 @@ def _one_sided_fourier(target: str, n: int | None, side: str, N: int):
     return -res.poly.mean / fact, res.poly.abs_fourier() / fact
 
 
+@lru_cache(maxsize=64)
+def _abs_power_sum(zeros: ZeroAngles, k: int) -> float:
+    """|sum_j e(k theta_j)|; pure in its arguments, so every (target, side,
+    N) of one modulus shares one evaluation per k."""
+    return abs(power_sum(zeros, k))
+
+
 def _tail_weights(q: int, N: int, mode: str, zeros: ZeroAngles | None) -> np.ndarray:
     ks = np.arange(1, N + 1, dtype=float)
     if mode == "weil":
@@ -117,7 +125,7 @@ def _tail_weights(q: int, N: int, mode: str, zeros: ZeroAngles | None) -> np.nda
     if mode == "exact":
         if zeros is None:
             raise ValueError("exact mode needs the computed zero angles")
-        return np.array([abs(power_sum(zeros, k)) for k in range(1, N + 1)])
+        return np.array([_abs_power_sum(zeros, k) for k in range(1, N + 1)])
     raise ValueError(f"unknown bound mode {mode!r} (expected weil or exact)")
 
 
@@ -130,15 +138,17 @@ def rigorous_bound(
     N: int,
     mode: str = "weil",
 ) -> BoundReport:
-    """Evaluate the bound 2g W-hat(0) +/- sum |W-hat(k)| w_k at degree N."""
+    """Evaluate the bound 2g W-hat(0) +/- sum |W-hat(k)| w_k at degree N.
+
+    Moduli have odd degree throughout (scans and lpoly reject even d), so
+    the modulus degree is d = 2g + 1."""
     g = zeros.count // 2
     w0, absw = _one_sided_fourier(target, n, side, N)
     weights = _tail_weights(q, N, mode, zeros if mode == "exact" else None)
     main = 2.0 * g * w0
     tail = 2.0 * float(absw @ weights) if N > 0 else 0.0
     bound = main + tail if side == "upper" else main - tail
-    d = 0  # filled by callers that know the modulus degree
-    return BoundReport(target, n, side, mode, q, d, g, N, main, tail, bound)
+    return BoundReport(target, n, side, mode, q, 2 * g + 1, g, N, main, tail, bound)
 
 
 def choose_degree(
@@ -370,12 +380,29 @@ def sample_moduli(config: ScanConfig) -> list[Poly]:
     raise ValueError(f"unknown sample spec {config.sample!r}")
 
 
-def _scan_one(D: Poly, config: ScanConfig):
-    """Full pipeline and soundness checks for one modulus."""
+def _selected_bound(config, zeros, target, n, side, mode, weil: dict) -> BoundReport:
+    """The bound at the degree the policy picks.  In weil mode neither the
+    degree nor the bound depends on the zeros beyond their count, so weil
+    holds them for the rest of the scan."""
+    key = (zeros.count, target, n, side)
+    if mode == "weil" and key in weil:
+        return weil[key]
+    N = choose_degree(
+        config.policy, config.q, config.d, target, n, side, mode, zeros, config.n_cap
+    )
+    rep = rigorous_bound(zeros, config.q, target, n, side, N, mode)
+    if mode == "weil":
+        weil[key] = rep
+    return rep
+
+
+def _scan_one(D: Poly, config: ScanConfig, weil: dict):
+    """Full pipeline and soundness checks for one modulus; weil is the
+    scan's memo of weil-mode bounds (see _selected_bound)."""
     char = Character(D)
     L = compute_lpolynomial(char)
     zeros = find_zero_angles(L)
-    g, q, d = L.g, L.q, L.d
+    q, d = L.q, L.d
     slack = config.soundness_slack
     rows = []
     violations = []
@@ -384,22 +411,19 @@ def _scan_one(D: Poly, config: ScanConfig):
         ext = empirical_extrema(zeros, target, n, config.grid_size)
         reported = None
         for mode in ("weil", "exact"):
-            N_up = choose_degree(config.policy, q, d, target, n, "upper", mode, zeros, config.n_cap)
-            rep_up = replace(rigorous_bound(zeros, q, target, n, "upper", N_up, mode), d=d)
+            rep_up = _selected_bound(config, zeros, target, n, "upper", mode, weil)
+            N_up = rep_up.N_used
             if ext.max_value > rep_up.bound + slack:
                 violations.append(
                     f"D={D} target={tag} mode={mode}: empirical max {ext.max_value!r} "
                     f"exceeds bound {rep_up.bound!r} at N={N_up}"
                 )
             if target == "s":
-                N_lo = choose_degree(
-                    config.policy, q, d, target, n, "lower", mode, zeros, config.n_cap
-                )
-                rep_lo = replace(rigorous_bound(zeros, q, target, n, "lower", N_lo, mode), d=d)
+                rep_lo = _selected_bound(config, zeros, target, n, "lower", mode, weil)
                 if ext.min_value < rep_lo.bound - slack:
                     violations.append(
                         f"D={D} target={tag} mode={mode}: empirical min {ext.min_value!r} "
-                        f"below bound {rep_lo.bound!r} at N={N_lo}"
+                        f"below bound {rep_lo.bound!r} at N={rep_lo.N_used}"
                     )
                 if n == 0:
                     for point, value in ((ext.argmax, ext.max_value), (ext.argmin, ext.min_value)):
@@ -442,8 +466,9 @@ def _scan_chunk(args):
     config = ScanConfig(**config_kwargs)
     field = FieldSpec(q)
     rows, violations = [], []
+    weil: dict = {}
     for enc in encodings:
-        r, v = _scan_one(Poly.decode_monic(field, d, enc), config)
+        r, v = _scan_one(Poly.decode_monic(field, d, enc), config, weil)
         rows.extend(r)
         violations.extend(v)
     return rows, violations

@@ -19,25 +19,22 @@ import argparse
 import csv
 import io
 import json
-import math
 import subprocess
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from .bernoulli import (
     bernoulli_envelope_constants,
     bernoulli_extrema,
     zeta_envelope_constants,
 )
-from .bounds import SCAN_TARGETS, ScanConfig, ensemble_scan, parse_target
+from .bounds import SCAN_TARGETS, ScanConfig, ensemble_scan
 from .charsum import Character
 from .errors import CertificationError, ConsistencyError, ResourceLimitError, SolverError
 from .fqpoly import FieldSpec, is_squarefree, parse_poly
 from .lfunc import compute_lpolynomial, find_zero_angles, rh_radius_error
-from .onesided import construct_one_sided, interval_polys, oracle_mean
+from .onesided import construct_one_sided, interval_polys
 
 EXIT_OK = 0
 EXIT_INPUT = 2

@@ -245,64 +245,92 @@ def _constraint_values(spec: _Target, side: int, thetas: np.ndarray):
     return thetas[keep], vals[keep]
 
 
-def _golden_min(f, lo, hi, iters=60):
-    """Golden-section minimum of f on [lo, hi]."""
+def _poly_rows(poly: TrigPoly, xs: np.ndarray) -> np.ndarray:
+    """poly at every point of xs, each value equal to poly(float(x)).
+
+    One dot product per point (np.vecdot) sums in the same order as the
+    scalar evaluation's 1-D @ 1-D; a matrix-vector product would not.
+    """
+    k = np.arange(1, poly.degree + 1)
+    ang = TWO_PI * np.multiply.outer(xs, k)
+    vals = poly.cos[0] + np.vecdot(np.cos(ang), np.asarray(poly.cos[1:]))
+    return vals + (np.vecdot(np.sin(ang), np.asarray(poly.sin)) if poly.sin else 0.0)
+
+
+def _gap(poly: TrigPoly, spec: _Target, side: int, xs: np.ndarray) -> np.ndarray:
+    """side*(poly - target) at xs; +inf where the constraint is void."""
+    tv = spec.value(xs)
+    void = ~np.isfinite(tv)
+    if spec.name == "log2sin" and side < 0:
+        void |= tv <= LOG_SINE_FLOOR
+    return np.where(void, math.inf, side * (_poly_rows(poly, xs) - tv))
+
+
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 60):
+    """Golden-section minima of f on every lane [lo[i], hi[i]] at once.
+
+    f maps an array of points to their values.  Each lane takes exactly
+    the steps of a scalar search and stops after the step that brings its
+    bracket below 1e-14; the result is the least (value, point) pair of
+    the two inner points and the two ends, in tuple order.
+    """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = lo.copy(), hi.copy()
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
+    live = np.arange(len(lo))
     for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-        if b - a < 1e-14:
+        if not len(live):
             break
-    xs = [(fc, c), (fd, d), (f(lo), lo), (f(hi), hi)]
-    return min(xs)
+        left = fc[live] <= fd[live]
+        lt, rt = live[left], live[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - phi * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + phi * (b[rt] - a[rt])
+        fresh = f(np.where(left, c[live], d[live]))
+        fc[lt], fd[rt] = fresh[left], fresh[~left]
+        live = live[~(b[live] - a[live] < 1e-14)]
+    best, at = fc, c
+    for val, x in ((fd, d), (f(lo), lo), (f(hi), hi)):
+        take = (val < best) | ((val == best) & (x < at))
+        best, at = np.where(take, val, best), np.where(take, x, at)
+    return best, at
 
 
 def _certify(poly: TrigPoly, spec: _Target, side: int, base_grid: int):
     """Minimum of side*(poly - target) over the circle, with refinement.
 
     Scans a grid ten times finer than the construction grid plus deeper
-    cluster points, then polishes every local minimum of the gap by
-    golden-section between its grid neighbors.  Near the singular point
-    the cluster points approach geometrically and the target is monotone
-    past the deepest one, so the scan is conclusive there.
+    cluster points, then polishes the local minima of the gap by
+    golden-section between their grid neighbors, all searches at once.
+    Near the singular point the cluster points approach geometrically and
+    the target is monotone past the deepest one, so the scan is conclusive
+    there.
     """
     fine = np.arange(10 * base_grid) / float(10 * base_grid)
     pts = np.unique(np.concatenate([fine, _cluster_points(_CERT_CLUSTER_DEPTH)]))
     pts, tvals = _constraint_values(spec, side, pts)
     h = side * (poly(pts) - tvals)
 
-    def gap(x):
-        tv = spec.value(float(x))
-        if not np.isfinite(tv) or (spec.name == "log2sin" and side < 0 and tv <= LOG_SINE_FLOOR):
-            return math.inf
-        return side * (poly(float(x)) - tv)
-
     order = np.argsort(h)
     margin = float(h[order[0]])
     worst = float(pts[order[0]])
-    minima: list[tuple[float, float]] = []
     local = np.flatnonzero(
         (h <= np.roll(h, 1)) & (h <= np.roll(h, -1))
     )
     # polish the 24 lowest local minima (plenty: at most ~N+1 touch regions)
     ranked = local[np.argsort(h[local])][:24]
-    for i in ranked:
-        lo = pts[i - 1] if i > 0 else pts[i] - 1.0 / (10 * base_grid)
-        hi = pts[i + 1] if i + 1 < len(pts) else pts[i] + 1.0 / (10 * base_grid)
-        val, x = _golden_min(gap, lo, hi)
-        minima.append((float(x), float(val)))
+    step = 1.0 / (10 * base_grid)
+    last = len(pts) - 1
+    lo = np.where(ranked > 0, pts[np.maximum(ranked - 1, 0)], pts[ranked] - step)
+    hi = np.where(ranked < last, pts[np.minimum(ranked + 1, last)], pts[ranked] + step)
+    vals, xs = _golden_min(lambda x: _gap(poly, spec, side, x), lo, hi)
+    minima = [(float(x), float(val)) for x, val in zip(xs, vals)]
+    for x, val in minima:
         if val < margin:
-            margin, worst = float(val), float(x)
+            margin, worst = val, x
     return margin, worst, minima
 
 
@@ -319,11 +347,11 @@ def _solve_round(spec: _Target, side: int, N: int, thetas: np.ndarray):
     return _coeffs_from_solution(x, N, spec.even), len(pts)
 
 
-def _repair(poly: TrigPoly, spec: _Target, sgn: int, grid_points: int):
+def _repair(poly: TrigPoly, spec: _Target, sgn: int, grid_points: int, margin, worst):
     """Shift the constant term until certification clears, recording the
-    total shift; re-certification may expose a marginally deeper minimum,
-    so the shift iterates (it converges immediately in practice)."""
-    margin, worst, _ = _certify(poly, spec, sgn, grid_points)
+    total shift; (margin, worst) is poly's own certification.
+    Re-certification may expose a marginally deeper minimum, so the shift
+    iterates (it converges immediately in practice)."""
     repair = 0.0
     for _ in range(3):
         if margin >= 0.0:
@@ -381,7 +409,10 @@ def construct_one_sided(
         flipped = TrigPoly(
             tuple(-a for a in maj.poly.cos), tuple(b for b in maj.poly.sin)
         )
-        flipped, margin, worst, repair = _repair(flipped, spec, sgn, grid_points)
+        margin, worst, _ = _certify(flipped, spec, sgn, grid_points)
+        flipped, margin, worst, repair = _repair(
+            flipped, spec, sgn, grid_points, margin, worst
+        )
         if margin < -_CERT_TOL:
             raise CertificationError(
                 f"{target} minorant N={N}: margin {margin:.3e} at theta={worst:.12f}"
@@ -434,7 +465,8 @@ def construct_one_sided(
         grid = np.unique(np.concatenate([grid, np.asarray(cuts)]))
     lp_mean = poly.mean
 
-    poly, margin, worst, repair = _repair(poly, spec, sgn, grid_points)
+    # the loop's last certification was of this very polynomial
+    poly, margin, worst, repair = _repair(poly, spec, sgn, grid_points, margin, worst)
     if margin < -_CERT_TOL:
         raise CertificationError(
             f"{target} {side} N={N}: margin {margin:.3e} at theta={worst:.12f} "

@@ -119,6 +119,29 @@ def test_soundness_upper_and_lower(pipe_d5):
                     assert ext.min_value >= lo - 1e-9
 
 
+def test_report_carries_modulus_degree():
+    D = next(iter(enumerate_Hd(F3, 7)))
+    zeros = find_zero_angles(compute_lpolynomial(Character(D)))
+    for mode in ("weil", "exact"):
+        rep = rigorous_bound(zeros, 3, "s", 1, "lower", 3, mode)
+        assert (rep.d, rep.g) == (7, 3)
+
+
+@pytest.mark.parametrize("mode", ["weil", "exact"])
+def test_scan_rows_match_per_modulus_bounds(mode):
+    # the scan keeps weil-mode bounds for the whole scan and exact-mode
+    # power sums per modulus; both must equal a fresh per-modulus evaluation
+    config = ScanConfig(q=3, d=5, sample="random:6", seed=5, mode=mode)
+    result = ensemble_scan(config)
+    assert not result.violations
+    for row in result.rows:
+        D = next(P for P in sample_moduli(config) if str(P) == row["D"])
+        zeros = find_zero_angles(compute_lpolynomial(Character(D)))
+        N = choose_degree("exhaustive", 3, 5, row["target"], row["n"], "upper", mode, zeros)
+        rep = rigorous_bound(zeros, 3, row["target"], row["n"], "upper", N, mode)
+        assert (row["N_used"], row["tail_term"], row["rigorous_bound"]) == (N, rep.tail_term, rep.bound)
+
+
 def test_logmod_has_no_lower_bound(pipe_d5):
     _, zeros = pipe_d5[0]
     with pytest.raises(ValueError):

@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from certify_oracle import certify as scalar_certify
 
+from hyperell import onesided
 from hyperell.bernoulli import bernoulli_extrema
 from hyperell.onesided import (
     LOG_SINE_FLOOR,
@@ -17,6 +19,8 @@ from hyperell.onesided import (
 )
 
 ALL_N = (4, 8, 16)
+TARGETS = ("log2sin", "bernoulli:1", "bernoulli:2", "bernoulli:3", "bernoulli:4")
+SIDES = ("majorant", "minorant")
 
 
 def dense_check_grid():
@@ -43,6 +47,49 @@ def test_trigpoly_serialization():
     poly = TrigPoly((1.0, 2.0), (3.0,))
     d = poly.to_json_dict()
     assert d == {"N": 1, "cos": [1.0, 2.0], "sin": [3.0]}
+
+
+# --- batched certification against the scalar oracle --------------------------
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_poly_rows_match_scalar_evaluation(even):
+    rng = np.random.default_rng(808)
+    for N in range(41):
+        cos = tuple(float(v) for v in rng.standard_normal(N + 1))
+        sin = (0.0,) * N if even else tuple(float(v) for v in rng.standard_normal(N))
+        poly = TrigPoly(cos, sin)
+        xs = np.concatenate([rng.random(29), [0.0, 0.5, 1.0 - 2.0**-46]])
+        rows = onesided._poly_rows(poly, xs)
+        assert list(rows) == [poly(float(x)) for x in xs]
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("side", SIDES)
+def test_certify_matches_scalar_oracle(target, side):
+    spec = target_spec(target)
+    sgn = 1 if side == "majorant" else -1
+    for N in range(5):
+        poly = construct_one_sided(target, side, N).poly
+        grid = 40 * (N + 1)
+        # the certified polynomial, and one pushed across its target
+        for p in (poly, poly.shifted(-sgn * 1e-3)):
+            assert onesided._certify(p, spec, sgn, grid) == scalar_certify(p, spec, sgn, grid)
+
+
+def test_constructions_match_scalar_certification(monkeypatch):
+    def build_all():
+        monkeypatch.setattr(onesided, "_CACHE", {})
+        return [
+            construct_one_sided(target, side, N)
+            for target in TARGETS
+            for side in SIDES
+            for N in range(4)
+        ]
+
+    batched = build_all()
+    monkeypatch.setattr(onesided, "_certify", scalar_certify)
+    assert build_all() == batched
 
 
 # --- degree-zero closed forms --------------------------------------------------
