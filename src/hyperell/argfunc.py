@@ -26,6 +26,50 @@ from .errors import ConsistencyError
 from .lfunc import ZeroAngles
 
 
+def fractional_parts(theta, angles) -> np.ndarray:
+    """frac[i, j] = (theta[i] - angles[j]) mod 1 for a 1-D theta; angles is
+    one row of zero angles or one row per theta (lanes with their own zeros)."""
+    diff = np.subtract(np.asarray(theta, dtype=float)[:, None], angles)
+    diff -= np.floor(diff)
+    return diff
+
+
+def zero_sums(
+    frac: np.ndarray,
+    n: int | None,
+    table: BernoulliTable | None = None,
+    out: np.ndarray | None = None,
+    singular_tol: float = 1e-12,
+) -> np.ndarray:
+    """Row sums over the zero angles from fractional parts (fractional_parts):
+    log|L| for n None (-inf within singular_tol of a zero angle), else S_n.
+
+    The shared kernel of log_modulus, argument_sum and the extrema scans:
+    elementwise steps in place, then one reduction along each row, so a
+    row's value does not depend on the rows evaluated with it.
+    """
+    work = np.empty_like(frac)
+    if n is None:
+        np.subtract(1.0, frac, out=work)
+        np.minimum(frac, work, out=work)
+        near = work <= singular_tol
+        np.multiply(frac, math.pi, out=work)
+        np.sin(work, out=work)
+        np.abs(work, out=work)
+        work *= 2.0
+        with np.errstate(divide="ignore"):
+            np.log(work, out=work)
+        vals = np.sum(work, axis=-1, out=out)
+        if near.any():  # rare: rows are seldom this close to a zero angle
+            vals[near.any(axis=-1)] = -np.inf
+        return vals
+    (table or default_table()).on_unit(n + 1, frac, out=work)
+    vals = np.sum(work, axis=-1, out=out)
+    np.negative(vals, out=vals)
+    vals /= math.factorial(n + 1)
+    return vals
+
+
 def log_modulus(zeros: ZeroAngles, theta, singular_tol: float = 1e-12):
     """sum_j log 2|sin pi(theta - theta_j)|; -inf within tol of a zero angle.
 
@@ -33,13 +77,8 @@ def log_modulus(zeros: ZeroAngles, theta, singular_tol: float = 1e-12):
     cross-check lives in the tests).
     """
     th = np.asarray(theta, dtype=float)
-    diff = np.multiply.outer(th, np.ones(len(zeros.theta))) - np.asarray(zeros.theta)
-    frac = diff - np.floor(diff)
-    dist = np.minimum(frac, 1.0 - frac)
-    hit = (dist <= singular_tol).any(axis=-1)
-    with np.errstate(divide="ignore"):
-        vals = np.log(2.0 * np.abs(np.sin(math.pi * frac))).sum(axis=-1)
-    vals = np.where(hit, -np.inf, vals)
+    frac = fractional_parts(th.reshape(-1), zeros.theta)
+    vals = zero_sums(frac, None, singular_tol=singular_tol).reshape(th.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -47,10 +86,9 @@ def argument_sum(zeros: ZeroAngles, n: int, theta, table: BernoulliTable | None 
     """S_n(theta): the n-th normalized antiderivative of the argument sum."""
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
-    table = table or default_table()
     th = np.asarray(theta, dtype=float)
-    diff = np.multiply.outer(th, np.ones(len(zeros.theta))) - np.asarray(zeros.theta)
-    vals = -table.periodic(n + 1, diff).sum(axis=-1) / math.factorial(n + 1)
+    frac = fractional_parts(th.reshape(-1), zeros.theta)
+    vals = zero_sums(frac, n, table).reshape(th.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 

@@ -77,13 +77,27 @@ class BernoulliTable:
         and a shift that rounds onto an integer (1e-300 + 1.0 == 1.0) lands
         on the n = 1 jump.
         """
-        self._guard(n)
         arr = np.asarray(x, dtype=float)
-        frac = arr - np.floor(arr)
-        vals = np.polyval(self._horner[n], frac)
-        if n == 1:
-            vals = np.where(frac == 0.0, 0.0, vals)
+        vals = self.on_unit(n, arr - np.floor(arr))
         return float(vals) if vals.ndim == 0 else vals
+
+    def on_unit(self, n: int, frac: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """B_n at points already reduced to [0, 1), into out (not frac) if given.
+
+        Horner's rule with the steps of np.polyval (from zero, a product
+        then a sum per coefficient), in place; the n = 1 sawtooth is 0 at 0.
+        """
+        self._guard(n)
+        if out is None:
+            out = np.zeros_like(frac)
+        else:
+            out[...] = 0.0
+        for c in self._horner[n]:
+            out *= frac
+            out += c
+        if n == 1:
+            out[frac == 0.0] = 0.0
+        return out
 
     def _critical_points(self, n: int) -> list[float]:
         """Roots of B_(n-1) in [0, 1] by exact-sign bisection."""

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .argfunc import argument_sum, jump_limits, log_modulus
+from .argfunc import fractional_parts, jump_limits, zero_sums
 from .bernoulli import bernoulli_envelope_constants
 from .charsum import Character
 from .fqpoly import FieldSpec, Poly, enumerate_Hd
@@ -40,6 +40,9 @@ SOUNDNESS_SLACK = 1e-9
 DEFAULT_GRID = 2**14
 DEFAULT_N_CAP = 8
 SCAN_TARGETS = ("logmod", "s:0", "s:1", "s:2")
+SCAN_BLOCK = 16  # moduli whose extrema a scan computes together
+_GRID_SLICE = 2048  # grid rows per fractional-part matrix
+_CELLS = 8  # golden-section lanes per (modulus, target, side)
 
 
 def parse_target(tag: str) -> tuple[str, int | None]:
@@ -214,7 +217,7 @@ def _vector_golden_max(f, centers: np.ndarray, half_width: float, iters: int = 3
     return mid, f(mid)
 
 
-def _top_cells(vals: np.ndarray, count: int = 8, spacing: int = 4) -> np.ndarray:
+def _top_cells(vals: np.ndarray, count: int = _CELLS, spacing: int = 4) -> np.ndarray:
     order = np.argsort(vals)[::-1]
     picked: list[int] = []
     for idx in order:
@@ -225,10 +228,19 @@ def _top_cells(vals: np.ndarray, count: int = 8, spacing: int = 4) -> np.ndarray
     return np.asarray(picked, dtype=int)
 
 
-def empirical_extrema(
-    zeros: ZeroAngles, target: str, n: int | None, grid_size: int = DEFAULT_GRID
-) -> EmpiricalExtrema:
-    """Grid extrema refined by golden section around the best cells.
+def block_extrema(
+    zero_sets: list[ZeroAngles], targets: list[tuple[str, int | None]], grid_size: int = DEFAULT_GRID
+) -> list[list[EmpiricalExtrema]]:
+    """Grid extrema refined by golden section around the best cells, for
+    a block of zero sets of one count and (target, n) pairs as parse_target
+    gives them; one list per zero set, aligned with targets.
+
+    Each modulus's grid is evaluated in slices of one fractional-part
+    matrix shared by all targets and summarized at once.  The refinements
+    of the whole block then run as lanes of one search: _CELLS lanes per
+    (modulus, target, side), each with its own zero row, lower sides on
+    the negated function.  Every step is elementwise or a reduction along
+    a row, so a modulus's extrema do not depend on its block.
 
     The order-0 argument sum decreases between its upward jumps, so its
     supremum and infimum live at one-sided limits of the jumps; those are
@@ -236,55 +248,108 @@ def empirical_extrema(
     """
     if grid_size < 2**10:
         raise ValueError(f"grid_size must be >= 1024, got {grid_size}")
+    for target, n in targets:
+        if target not in ("logmod", "s") or (target == "s" and (n is None or n < 0)):
+            raise ValueError(f"unknown target {target!r} of order {n!r}")
+    if len({zeros.count for zeros in zero_sets}) > 1:
+        raise ValueError("a block takes zero sets of one count")
     grid = np.arange(grid_size) / float(grid_size)
-    step = 1.0 / grid_size
-    if target == "logmod":
-        vals = log_modulus(zeros, grid)
-        finite = np.isfinite(vals)
-        safe = np.where(finite, vals, -np.inf)
-        cells = _top_cells(safe)
+    orders = [None if target == "logmod" else n for target, n in targets]
+    # lane groups, target by target: logmod refines its maximum, S_n (n >= 1)
+    # its maximum then its minimum, both in one span of lanes; S_0 is exact
+    # at its jumps
+    group, spans, groups = {}, [], 0
+    for t, n in enumerate(orders):
+        if n != 0:
+            group[t] = groups
+            groups += 1 if n is None else 2
+            spans.append((group[t], groups, n))
+    blocks = len(zero_sets)
+    centers = np.empty((groups, blocks, _CELLS))
+    grid_extremes = {}
+    out = [[None] * len(targets) for _ in zero_sets]
+    vals = np.empty((len(targets), grid_size))
+    for b, zeros in enumerate(zero_sets):
+        for start in range(0, grid_size, _GRID_SLICE):
+            frac = fractional_parts(grid[start : start + _GRID_SLICE], zeros.theta)
+            for t, n in enumerate(orders):
+                zero_sums(frac, n, out=vals[t, start : start + _GRID_SLICE])
+        for t, n in enumerate(orders):
+            v = vals[t]
+            if n == 0:
+                angles, left, right = jump_limits(zeros)
+                cand_vals = np.concatenate([v, left, right])
+                cand_args = np.concatenate([grid, angles, angles])
+                hi = int(np.argmax(cand_vals))
+                lo = int(np.argmin(cand_vals))
+                out[b][t] = EmpiricalExtrema(
+                    float(cand_vals[hi]), float(cand_args[hi]),
+                    float(cand_vals[lo]), float(cand_args[lo]),
+                )
+                continue
+            if n is None:
+                v = np.where(np.isfinite(v), v, -np.inf)
+            grid_extremes[b, t] = (v.max(), int(np.argmax(v)), v.min(), int(np.argmin(v)))
+            centers[group[t], b] = grid[_top_cells(v)]
+            if n is not None:
+                centers[group[t] + 1, b] = grid[_top_cells(-v)]
+    if not groups or not zero_sets:
+        return out
 
-        def f(x):
-            return np.asarray(log_modulus(zeros, x))
-
-        xs, fx = _vector_golden_max(f, grid[cells], step)
-        best = int(np.argmax(fx))
-        if fx[best] >= safe.max():
-            return EmpiricalExtrema(float(fx[best]), float(xs[best] % 1.0), None, None)
-        top = int(np.argmax(safe))
-        return EmpiricalExtrema(float(safe[top]), float(grid[top]), None, None)
-    if target != "s":
-        raise ValueError(f"unknown target {target!r}")
-    vals = argument_sum(zeros, n, grid)
-    if n == 0:
-        angles, left, right = jump_limits(zeros)
-        cand_vals = np.concatenate([vals, left, right])
-        cand_args = np.concatenate([grid, angles, angles])
-        hi = int(np.argmax(cand_vals))
-        lo = int(np.argmin(cand_vals))
-        return EmpiricalExtrema(
-            float(cand_vals[hi]), float(cand_args[hi]), float(cand_vals[lo]), float(cand_args[lo])
-        )
+    lanes = blocks * _CELLS
+    rows = np.tile(
+        np.repeat(np.array([zeros.theta for zeros in zero_sets]).reshape(blocks, -1), _CELLS, axis=0),
+        (groups, 1),
+    )
 
     def f(x):
-        return np.asarray(argument_sum(zeros, n, x))
+        frac = fractional_parts(x, rows)
+        fx = np.empty(len(x))
+        for lo, hi, n in spans:
+            zero_sums(frac[lo * lanes : hi * lanes], n, out=fx[lo * lanes : hi * lanes])
+            if n is not None:
+                np.negative(fx[(hi - 1) * lanes : hi * lanes], out=fx[(hi - 1) * lanes : hi * lanes])
+        return fx
 
-    cells_hi = _top_cells(vals)
-    xs_hi, fx_hi = _vector_golden_max(f, grid[cells_hi], step)
-    cells_lo = _top_cells(-vals)
-    xs_lo, fx_lo = _vector_golden_max(lambda x: -f(x), grid[cells_lo], step)
-    hi = int(np.argmax(fx_hi))
-    lo = int(np.argmax(fx_lo))
-    max_value = max(float(fx_hi[hi]), float(vals.max()))
-    argmax = float(xs_hi[hi] % 1.0) if fx_hi[hi] >= vals.max() else float(grid[np.argmax(vals)])
-    min_value = min(float(-fx_lo[lo]), float(vals.min()))
-    argmin = float(xs_lo[lo] % 1.0) if -fx_lo[lo] <= vals.min() else float(grid[np.argmin(vals)])
-    return EmpiricalExtrema(max_value, argmax, min_value, argmin)
+    xs, fx = _vector_golden_max(f, centers.reshape(-1), 1.0 / grid_size)
+    xs, fx = xs.reshape(centers.shape), fx.reshape(centers.shape)
+    best = np.argmax(fx, axis=2)
+    for (b, t), (vmax, imax, vmin, imin) in grid_extremes.items():
+        g = group[t]
+        x_hi, f_hi = xs[g, b, best[g, b]], fx[g, b, best[g, b]]
+        if orders[t] is None:
+            if f_hi >= vmax:
+                out[b][t] = EmpiricalExtrema(float(f_hi), float(x_hi % 1.0), None, None)
+            else:
+                out[b][t] = EmpiricalExtrema(float(vmax), float(grid[imax]), None, None)
+            continue
+        x_lo, f_lo = xs[g + 1, b, best[g + 1, b]], fx[g + 1, b, best[g + 1, b]]
+        out[b][t] = EmpiricalExtrema(
+            max(float(f_hi), float(vmax)),
+            float(x_hi % 1.0) if f_hi >= vmax else float(grid[imax]),
+            min(float(-f_lo), float(vmin)),
+            float(x_lo % 1.0) if -f_lo <= vmin else float(grid[imin]),
+        )
+    return out
+
+
+def empirical_extrema(
+    zeros: ZeroAngles, target: str, n: int | None, grid_size: int = DEFAULT_GRID
+) -> EmpiricalExtrema:
+    """Extrema of one target for one modulus: a block of one (block_extrema)."""
+    return block_extrema([zeros], [(target, n)], grid_size)[0][0]
 
 
 # ---------------------------------------------------------------------------
 # Symmetric-interval route for the order-0 argument sum
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=8)
+def _symmetric_interval_polys(t: float, N: int):
+    """interval_polys(-t, t, N); a scan checks each point in both modes,
+    which mostly pick the same N, so the second check reuses the first."""
+    return interval_polys(-t, t, N)
 
 
 def s0_bound_interval_method(
@@ -303,7 +368,7 @@ def s0_bound_interval_method(
     if t > 0.5:
         up, lo = s0_bound_interval_method(zeros, q, 1.0 - t, N, mode)
         return -lo, -up
-    minor, major = interval_polys(-t, t, N)
+    minor, major = _symmetric_interval_polys(t, N)
     weights = _tail_weights(q, N, mode, zeros if mode == "exact" else None)
     tail_plus = 2.0 * float(major.abs_fourier() @ weights) if N > 0 else 0.0
     tail_minus = 2.0 * float(minor.abs_fourier() @ weights) if N > 0 else 0.0
@@ -396,19 +461,18 @@ def _selected_bound(config, zeros, target, n, side, mode, weil: dict) -> BoundRe
     return rep
 
 
-def _scan_one(D: Poly, config: ScanConfig, weil: dict):
-    """Full pipeline and soundness checks for one modulus; weil is the
-    scan's memo of weil-mode bounds (see _selected_bound)."""
-    char = Character(D)
-    L = compute_lpolynomial(char)
-    zeros = find_zero_angles(L)
+def _scan_one(
+    D: Poly, L, zeros: ZeroAngles, extrema: list[EmpiricalExtrema], config: ScanConfig, weil: dict
+):
+    """Bounds and soundness checks for one modulus, given its L-polynomial,
+    zero angles and extrema (one per config target); weil is the scan's
+    memo of weil-mode bounds (see _selected_bound)."""
     q, d = L.q, L.d
     slack = config.soundness_slack
     rows = []
     violations = []
-    for tag in config.targets:
+    for tag, ext in zip(config.targets, extrema):
         target, n = parse_target(tag)
-        ext = empirical_extrema(zeros, target, n, config.grid_size)
         reported = None
         for mode in ("weil", "exact"):
             rep_up = _selected_bound(config, zeros, target, n, "upper", mode, weil)
@@ -465,12 +529,18 @@ def _scan_chunk(args):
     q, d, encodings, config_kwargs = args
     config = ScanConfig(**config_kwargs)
     field = FieldSpec(q)
+    targets = [parse_target(tag) for tag in config.targets]
     rows, violations = [], []
     weil: dict = {}
-    for enc in encodings:
-        r, v = _scan_one(Poly.decode_monic(field, d, enc), config, weil)
-        rows.extend(r)
-        violations.extend(v)
+    for start in range(0, len(encodings), SCAN_BLOCK):
+        moduli = [Poly.decode_monic(field, d, enc) for enc in encodings[start : start + SCAN_BLOCK]]
+        Ls = [compute_lpolynomial(Character(D)) for D in moduli]
+        zero_sets = [find_zero_angles(L) for L in Ls]
+        extrema = block_extrema(zero_sets, targets, config.grid_size)
+        for D, L, zeros, ext in zip(moduli, Ls, zero_sets, extrema):
+            r, v = _scan_one(D, L, zeros, ext, config, weil)
+            rows.extend(r)
+            violations.extend(v)
     return rows, violations
 
 

@@ -43,6 +43,12 @@ _STOP_VIOLATION = 2e-12
 _CERT_TOL = 1e-12
 
 
+def trig_table(theta, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cos 2 pi k theta, sin 2 pi k theta) for k = 1..N, one row per theta."""
+    ang = TWO_PI * np.multiply.outer(np.asarray(theta, dtype=float), np.arange(1, N + 1))
+    return np.cos(ang), np.sin(ang)
+
+
 @dataclass(frozen=True)
 class TrigPoly:
     """Real trigonometric polynomial a_0 + sum a_k cos + b_k sin."""
@@ -63,23 +69,24 @@ class TrigPoly:
         return self.cos[0]
 
     def __call__(self, theta):
-        th = np.asarray(theta, dtype=float)
-        k = np.arange(1, self.degree + 1)
-        ang = TWO_PI * np.multiply.outer(th, k)
-        vals = (
-            self.cos[0]
-            + np.cos(ang) @ np.asarray(self.cos[1:])
-            + (np.sin(ang) @ np.asarray(self.sin) if self.sin else 0.0)
-        )
+        vals = self.from_table(*trig_table(theta, self.degree))
         return float(vals) if vals.ndim == 0 else vals
 
+    def from_table(self, cos: np.ndarray, sin: np.ndarray):
+        """Values from trig_table(theta, self.degree), as __call__ gives
+        them; polynomials of one degree share the table."""
+        return (
+            self.cos[0]
+            + cos @ np.asarray(self.cos[1:])
+            + (sin @ np.asarray(self.sin) if self.sin else 0.0)
+        )
+
     def derivative_at(self, theta):
-        th = np.asarray(theta, dtype=float)
+        cos, sin = trig_table(theta, self.degree)
         k = np.arange(1, self.degree + 1)
-        ang = TWO_PI * np.multiply.outer(th, k)
         vals = TWO_PI * (
-            -np.sin(ang) @ (k * np.asarray(self.cos[1:]))
-            + (np.cos(ang) @ (k * np.asarray(self.sin)) if self.sin else 0.0)
+            -sin @ (k * np.asarray(self.cos[1:]))
+            + (cos @ (k * np.asarray(self.sin)) if self.sin else 0.0)
         )
         return float(vals) if vals.ndim == 0 else vals
 
@@ -251,10 +258,9 @@ def _poly_rows(poly: TrigPoly, xs: np.ndarray) -> np.ndarray:
     One dot product per point (np.vecdot) sums in the same order as the
     scalar evaluation's 1-D @ 1-D; a matrix-vector product would not.
     """
-    k = np.arange(1, poly.degree + 1)
-    ang = TWO_PI * np.multiply.outer(xs, k)
-    vals = poly.cos[0] + np.vecdot(np.cos(ang), np.asarray(poly.cos[1:]))
-    return vals + (np.vecdot(np.sin(ang), np.asarray(poly.sin)) if poly.sin else 0.0)
+    cos, sin = trig_table(xs, poly.degree)
+    vals = poly.cos[0] + np.vecdot(cos, np.asarray(poly.cos[1:]))
+    return vals + (np.vecdot(sin, np.asarray(poly.sin)) if poly.sin else 0.0)
 
 
 def _gap(poly: TrigPoly, spec: _Target, side: int, xs: np.ndarray) -> np.ndarray:
@@ -545,8 +551,9 @@ def interval_polys(alpha: float, beta: float, N: int, grid_points: int | None = 
         )
     )
     ind = _indicator(alpha, beta, pts)
-    worst_minor = float(np.min(ind - minor(pts)))
-    worst_major = float(np.max(ind - major(pts)))
+    table = trig_table(pts, N)
+    worst_minor = float(np.min(ind - minor.from_table(*table)))
+    worst_major = float(np.max(ind - major.from_table(*table)))
     if worst_minor < -1e-11 or worst_major > 1e-11:
         raise CertificationError(
             f"interval [{alpha}, {beta}] N={N}: composition violates one-sidedness "

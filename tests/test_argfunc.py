@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import extrema_oracle
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -102,6 +103,24 @@ def test_periodic_is_periodic(n, x):
 def test_table_range_guard():
     with pytest.raises(UnsupportedDegreeError):
         periodic_bernoulli(14, 0.5)
+
+
+def test_periodic_matches_polyval_bit_for_bit():
+    # in-place Horner takes np.polyval's steps, so every bit agrees,
+    # at the n = 1 jump and for non-finite input too
+    xs = np.concatenate(
+        [
+            np.random.default_rng(3).uniform(-3.0, 3.0, 4000),
+            [0.0, -0.0, 1.0, -1.0, 2.0**-52, -(2.0**-52), 1e-300, 0.5, np.inf, np.nan],
+        ]
+    )
+    with np.errstate(invalid="ignore"):
+        for n in range(TABLE.nmax + 1):
+            got = TABLE.periodic(n, xs)
+            want = extrema_oracle.periodic(TABLE, n, xs)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+            for x in (0.3, 0.0, -0.7, 5.0):
+                assert TABLE.periodic(n, x) == extrema_oracle.periodic(TABLE, n, x)
 
 
 def test_extrema_small_cases():
@@ -209,6 +228,27 @@ def test_log_modulus_singularity_marker():
     zeros = ZeroAngles((0.25, 0.75), 0.0)
     assert log_modulus(zeros, 0.25) == -math.inf
     assert log_modulus(zeros, 0.75 + 1e-13) == -math.inf
+
+
+def test_kernel_matches_direct_grid_evaluation(zeros_d5):
+    # log_modulus and argument_sum run on the shared fractional-part kernel;
+    # the direct per-function evaluation must agree exactly, for
+    # scalars, vectors, matrices and at the zero angles themselves
+    rng = np.random.default_rng(11)
+    for _, zeros in zeros_d5:
+        points = [
+            0.37,
+            np.concatenate([rng.uniform(-2.0, 2.0, 300), zeros.theta, [0.0, 0.5]]),
+            rng.uniform(0.0, 1.0, (7, 5)),
+        ]
+        for theta in points:
+            got = log_modulus(zeros, theta)
+            want = extrema_oracle.log_modulus(zeros, theta)
+            assert np.array_equal(got, want) and type(got) is type(want)
+            for n in range(5):
+                got = argument_sum(zeros, n, theta)
+                want = extrema_oracle.argument_sum(zeros, n, theta)
+                assert np.array_equal(got, want) and type(got) is type(want)
 
 
 def test_log_modulus_matches_direct_evaluation(zeros_d5):

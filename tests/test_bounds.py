@@ -1,12 +1,16 @@
 import math
 import random
 
+import extrema_oracle
 import numpy as np
 import pytest
 
 from hyperell.argfunc import argument_sum, log_modulus
 from hyperell.bounds import (
+    SCAN_BLOCK,
+    SCAN_TARGETS,
     ScanConfig,
+    block_extrema,
     choose_degree,
     degree_choice,
     empirical_extrema,
@@ -226,6 +230,55 @@ def test_grid_size_validation(pipe_d5):
         empirical_extrema(zeros, "s", 0, 512)
 
 
+@pytest.fixture(scope="module")
+def ensembles():
+    """Zero sets of all of F_3 H_5 and of a seeded 200-modulus sample of H_7."""
+    h7 = random.Random(2024).sample(list(enumerate_Hd(F3, 7)), 200)
+    return {
+        name: [find_zero_angles(compute_lpolynomial(Character(D))) for D in Ds]
+        for name, Ds in (("h5", list(enumerate_Hd(F3, 5))), ("h7", h7))
+    }
+
+
+@pytest.mark.parametrize("grid_size", [2**10, 2**12, 2**14])
+@pytest.mark.parametrize("name", ["h5", "h7"])
+def test_block_extrema_match_per_modulus_oracle(ensembles, name, grid_size):
+    # a block of one, then full blocks, then a partial last block: every
+    # extremum equals the per-modulus oracle's
+    zero_sets = ensembles[name]
+    targets = [parse_target(tag) for tag in SCAN_TARGETS]
+    cuts = [0, 1, *range(1 + SCAN_BLOCK, len(zero_sets), SCAN_BLOCK), len(zero_sets)]
+    sizes = np.diff(cuts)
+    assert sizes[0] == 1 and sizes[1] == SCAN_BLOCK and sizes[-1] < SCAN_BLOCK
+    got = []
+    for i, j in zip(cuts, cuts[1:]):
+        got.extend(block_extrema(zero_sets[i:j], targets, grid_size))
+    for zeros, row in zip(zero_sets, got):
+        assert row == [
+            extrema_oracle.empirical_extrema(zeros, target, n, grid_size) for target, n in targets
+        ]
+
+
+def test_single_target_extrema_match_oracle(ensembles):
+    for zeros in ensembles["h7"][:4]:
+        for tag in ("logmod", "s:0", "s:1", "s:2", "s:3"):
+            target, n = parse_target(tag)
+            assert empirical_extrema(zeros, target, n, 2**12) == (
+                extrema_oracle.empirical_extrema(zeros, target, n, 2**12)
+            )
+
+
+def test_block_extrema_validation(ensembles):
+    h5, h7 = ensembles["h5"][0], ensembles["h7"][0]
+    assert block_extrema([], [("logmod", None)], 2**10) == []
+    with pytest.raises(ValueError):
+        block_extrema([h5, h7], [("logmod", None)], 2**10)
+    with pytest.raises(ValueError):
+        block_extrema([h5], [("s", None)], 2**10)
+    with pytest.raises(ValueError):
+        block_extrema([h5], [("t", 1)], 2**10)
+
+
 # --- ensemble scan --------------------------------------------------------------
 
 
@@ -275,6 +328,16 @@ def test_scan_budget_truncates_with_flag():
     assert capped.truncated
     assert len(capped.rows) == 3 * len(capped.config.targets)
     assert capped.rows == full.rows[: len(capped.rows)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("mode", ["weil", "exact"])
+def test_block_scan_matches_per_modulus_scan(mode, threads):
+    config = ScanConfig(q=3, d=5, sample="random:6", seed=5, mode=mode, threads=threads)
+    result = ensemble_scan(config)
+    rows, violations = extrema_oracle.scan(sample_moduli(config), config)
+    assert result.rows == rows
+    assert result.violations == violations
 
 
 def test_scan_deterministic_across_runs_and_threads():
