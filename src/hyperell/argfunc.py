@@ -27,11 +27,61 @@ from .lfunc import ZeroAngles
 
 
 def fractional_parts(theta, angles) -> np.ndarray:
-    """frac[i, j] = (theta[i] - angles[j]) mod 1 for a 1-D theta; angles is
-    one row of zero angles or one row per theta (lanes with their own zeros)."""
-    diff = np.subtract(np.asarray(theta, dtype=float)[:, None], angles)
+    """frac[j, i] = (theta[i] - angles[j]) mod 1 for a 1-D theta, zero-major:
+    one contiguous row per zero angle.  angles is one row of zero angles
+    shared by every theta, or a (zeros, len(theta)) array holding one
+    column of zeros per theta (lanes with their own zeros)."""
+    angles = np.asarray(angles, dtype=float)
+    shared = angles[:, None] if angles.ndim == 1 else angles
+    diff = np.subtract(np.asarray(theta, dtype=float), shared)
     diff -= np.floor(diff)
     return diff
+
+
+def _pairwise(a: np.ndarray, out: np.ndarray) -> None:
+    """numpy's pairwise summation of each column of a, into out."""
+    n = len(a)
+    if n < 8:
+        np.add(a[0], 0.0, out=out)
+        for row in a[1:]:
+            out += row
+    elif n <= 128:
+        acc = a[:8].copy()
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            acc += a[i : i + 8]
+        pairs = acc[0::2] + acc[1::2]
+        np.add(pairs[0] + pairs[1], pairs[2] + pairs[3], out=out)
+        for row in a[stop:]:
+            out += row
+    else:
+        half = n // 2 - (n // 2) % 8
+        _pairwise(a[:half], out)
+        rest = np.empty_like(out)
+        _pairwise(a[half:], rest)
+        out += rest
+
+
+def column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sums down the columns of a, each rounded as np.sum(a.T, axis=-1)
+    rounds the matching row, one vector add per step.
+
+    np.sum starts from 0.0 and adds numpy's pairwise sum of the row: below
+    8 terms 0.0 + a_0 and then the rest in order; from 8 up to 128 terms 8
+    accumulators strided by 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the leftover terms in order; beyond 128 the two halves (the first
+    a multiple of 8 long) recursively.  Which of two NaN operands a sum
+    returns is left open by IEEE 754, so NaN payloads may differ.
+    """
+    if out is None:
+        out = np.empty(a.shape[1:])
+    if not len(a):
+        out[...] = 0.0
+        return out
+    _pairwise(a, out)
+    if len(a) >= 8:
+        out += 0.0  # the 0.0 start: turns a sum of -0.0 into 0.0
+    return out
 
 
 def zero_sums(
@@ -41,12 +91,14 @@ def zero_sums(
     out: np.ndarray | None = None,
     singular_tol: float = 1e-12,
 ) -> np.ndarray:
-    """Row sums over the zero angles from fractional parts (fractional_parts):
-    log|L| for n None (-inf within singular_tol of a zero angle), else S_n.
+    """Sums over the zero angles from zero-major fractional parts
+    (fractional_parts), one per column: log|L| for n None (-inf within
+    singular_tol of a zero angle), else S_n.
 
     The shared kernel of log_modulus, argument_sum and the extrema scans:
-    elementwise steps in place, then one reduction along each row, so a
-    row's value does not depend on the rows evaluated with it.
+    elementwise steps in place, then column_sums, whose rounding is that
+    of np.sum along each row of the transposed matrix; a column's value
+    does not depend on the columns evaluated with it.
     """
     work = np.empty_like(frac)
     if n is None:
@@ -59,12 +111,12 @@ def zero_sums(
         work *= 2.0
         with np.errstate(divide="ignore"):
             np.log(work, out=work)
-        vals = np.sum(work, axis=-1, out=out)
-        if near.any():  # rare: rows are seldom this close to a zero angle
-            vals[near.any(axis=-1)] = -np.inf
+        vals = column_sums(work, out=out)
+        if near.any():  # rare: points are seldom this close to a zero angle
+            vals[near.any(axis=0)] = -np.inf
         return vals
     (table or default_table()).on_unit(n + 1, frac, out=work)
-    vals = np.sum(work, axis=-1, out=out)
+    vals = column_sums(work, out=out)
     np.negative(vals, out=vals)
     vals /= math.factorial(n + 1)
     return vals

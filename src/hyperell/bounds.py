@@ -114,22 +114,24 @@ def _one_sided_fourier(target: str, n: int | None, side: str, N: int):
     return -res.poly.mean / fact, res.poly.abs_fourier() / fact
 
 
-@lru_cache(maxsize=64)
-def _abs_power_sum(zeros: ZeroAngles, k: int) -> float:
-    """|sum_j e(k theta_j)|; pure in its arguments, so every (target, side,
-    N) of one modulus shares one evaluation per k."""
-    return abs(power_sum(zeros, k))
-
-
 def _tail_weights(q: int, N: int, mode: str, zeros: ZeroAngles | None) -> np.ndarray:
+    """w_1..w_N; w_k does not depend on N, so a prefix serves every lower degree."""
     ks = np.arange(1, N + 1, dtype=float)
     if mode == "weil":
         return np.asarray(q) ** (ks / 2.0)
     if mode == "exact":
         if zeros is None:
             raise ValueError("exact mode needs the computed zero angles")
-        return np.array([_abs_power_sum(zeros, k) for k in range(1, N + 1)])
+        return np.array([abs(power_sum(zeros, k)) for k in range(1, N + 1)])
     raise ValueError(f"unknown bound mode {mode!r} (expected weil or exact)")
+
+
+def _bound_terms(g: int, target: str, n: int | None, side: str, N: int, weights: np.ndarray):
+    """(main, tail, bound) at degree N from w_1.. (at least N of them)."""
+    w0, absw = _one_sided_fourier(target, n, side, N)
+    main = 2.0 * g * w0
+    tail = 2.0 * float(absw @ weights[:N]) if N > 0 else 0.0
+    return main, tail, main + tail if side == "upper" else main - tail
 
 
 def rigorous_bound(
@@ -140,18 +142,23 @@ def rigorous_bound(
     side: str,
     N: int,
     mode: str = "weil",
+    weights: np.ndarray | None = None,
 ) -> BoundReport:
-    """Evaluate the bound 2g W-hat(0) +/- sum |W-hat(k)| w_k at degree N.
+    """Evaluate the bound 2g W-hat(0) +/- sum |W-hat(k)| w_k at degree N;
+    weights holds w_1.. (at least N of them) if the caller has them.
 
     Moduli have odd degree throughout (scans and lpoly reject even d), so
     the modulus degree is d = 2g + 1."""
     g = zeros.count // 2
-    w0, absw = _one_sided_fourier(target, n, side, N)
-    weights = _tail_weights(q, N, mode, zeros if mode == "exact" else None)
-    main = 2.0 * g * w0
-    tail = 2.0 * float(absw @ weights) if N > 0 else 0.0
-    bound = main + tail if side == "upper" else main - tail
+    if weights is None:
+        weights = _tail_weights(q, N, mode, zeros)
+    main, tail, bound = _bound_terms(g, target, n, side, N, weights)
     return BoundReport(target, n, side, mode, q, 2 * g + 1, g, N, main, tail, bound)
+
+
+def _degree_cap(q: int, d: int, n: int | None, n_cap: int) -> int:
+    """The largest degree exhaustive selection tries (covers the formula's)."""
+    return max(n_cap, degree_choice(q, d, n or 0))
 
 
 def choose_degree(
@@ -164,22 +171,28 @@ def choose_degree(
     mode: str,
     zeros: ZeroAngles,
     n_cap: int = DEFAULT_N_CAP,
+    weights: np.ndarray | None = None,
 ) -> int:
     """Resolve the degree policy: formula, fixed:N, or exhaustive.
 
     Exhaustive minimizes the rigorous bound magnitude over 0..cap (the cap
-    always covers the formula degree, so exhaustive is never worse)."""
+    always covers the formula degree, so exhaustive is never worse), each
+    bound summed as rigorous_bound sums it, from one table of weights w_k
+    (weights, if given, holds at least cap of them)."""
     if policy == "formula":
         return degree_choice(q, d, n or 0)
     if policy.startswith("fixed:"):
         return int(policy.split(":", 1)[1])
     if policy != "exhaustive":
         raise ValueError(f"unknown degree policy {policy!r}")
-    cap = max(n_cap, degree_choice(q, d, n or 0))
+    cap = _degree_cap(q, d, n, n_cap)
+    if weights is None:
+        weights = _tail_weights(q, cap, mode, zeros)
+    g = zeros.count // 2
     best_N, best_val = 0, math.inf
     for N in range(cap + 1):
-        rep = rigorous_bound(zeros, q, target, n, side, N, mode)
-        val = rep.bound if side == "upper" else -rep.bound
+        bound = _bound_terms(g, target, n, side, N, weights)[2]
+        val = bound if side == "upper" else -bound
         if val < best_val - 1e-15:
             best_N, best_val = N, val
     return best_N
@@ -238,9 +251,9 @@ def block_extrema(
     Each modulus's grid is evaluated in slices of one fractional-part
     matrix shared by all targets and summarized at once.  The refinements
     of the whole block then run as lanes of one search: _CELLS lanes per
-    (modulus, target, side), each with its own zero row, lower sides on
-    the negated function.  Every step is elementwise or a reduction along
-    a row, so a modulus's extrema do not depend on its block.
+    (modulus, target, side), each with its own column of zeros, lower
+    sides on the negated function.  Every step is elementwise or a sum
+    down one column, so a modulus's extrema do not depend on its block.
 
     The order-0 argument sum decreases between its upward jumps, so its
     supremum and infimum live at one-sided limits of the jumps; those are
@@ -297,16 +310,14 @@ def block_extrema(
         return out
 
     lanes = blocks * _CELLS
-    rows = np.tile(
-        np.repeat(np.array([zeros.theta for zeros in zero_sets]).reshape(blocks, -1), _CELLS, axis=0),
-        (groups, 1),
-    )
+    angles = np.array([zeros.theta for zeros in zero_sets]).reshape(blocks, -1)
+    cols = np.tile(np.repeat(angles.T, _CELLS, axis=1), (1, groups))
 
     def f(x):
-        frac = fractional_parts(x, rows)
+        frac = fractional_parts(x, cols)
         fx = np.empty(len(x))
         for lo, hi, n in spans:
-            zero_sums(frac[lo * lanes : hi * lanes], n, out=fx[lo * lanes : hi * lanes])
+            zero_sums(frac[:, lo * lanes : hi * lanes], n, out=fx[lo * lanes : hi * lanes])
             if n is not None:
                 np.negative(fx[(hi - 1) * lanes : hi * lanes], out=fx[(hi - 1) * lanes : hi * lanes])
         return fx
@@ -353,7 +364,12 @@ def _symmetric_interval_polys(t: float, N: int):
 
 
 def s0_bound_interval_method(
-    zeros: ZeroAngles, q: int, theta: float, N: int, mode: str = "weil"
+    zeros: ZeroAngles,
+    q: int,
+    theta: float,
+    N: int,
+    mode: str = "weil",
+    weights: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """(upper, lower) bounds on S_0(theta) through the zero counter of the
     symmetric interval [-theta, theta]:
@@ -362,16 +378,18 @@ def s0_bound_interval_method(
 
     then the interval indicator is replaced by its one-sided polynomials,
     whose mean gap 1/(N+1) does not depend on theta.  Odd symmetry reduces
-    any angle to [0, 1/2]."""
+    any angle to [0, 1/2].  weights holds w_1.. (at least N of them) if
+    the caller has them."""
     g = zeros.count // 2
     t = theta - math.floor(theta)
     if t > 0.5:
-        up, lo = s0_bound_interval_method(zeros, q, 1.0 - t, N, mode)
+        up, lo = s0_bound_interval_method(zeros, q, 1.0 - t, N, mode, weights)
         return -lo, -up
     minor, major = _symmetric_interval_polys(t, N)
-    weights = _tail_weights(q, N, mode, zeros if mode == "exact" else None)
-    tail_plus = 2.0 * float(major.abs_fourier() @ weights) if N > 0 else 0.0
-    tail_minus = 2.0 * float(minor.abs_fourier() @ weights) if N > 0 else 0.0
+    if weights is None:
+        weights = _tail_weights(q, N, mode, zeros if mode == "exact" else None)
+    tail_plus = 2.0 * float(major.abs_fourier() @ weights[:N]) if N > 0 else 0.0
+    tail_minus = 2.0 * float(minor.abs_fourier() @ weights[:N]) if N > 0 else 0.0
     upper = 0.5 * (2.0 * g * (major.mean - 2.0 * t) + tail_plus)
     lower = 0.5 * (2.0 * g * (minor.mean - 2.0 * t) - tail_minus)
     return upper, lower
@@ -445,28 +463,48 @@ def sample_moduli(config: ScanConfig) -> list[Poly]:
     raise ValueError(f"unknown sample spec {config.sample!r}")
 
 
-def _selected_bound(config, zeros, target, n, side, mode, weil: dict) -> BoundReport:
-    """The bound at the degree the policy picks.  In weil mode neither the
-    degree nor the bound depends on the zeros beyond their count, so weil
-    holds them for the rest of the scan."""
+def _max_degree(config: ScanConfig) -> int:
+    """The largest degree the config's policy picks for any of its targets."""
+    if config.policy.startswith("fixed:"):
+        return int(config.policy.split(":", 1)[1])
+    return max(
+        _degree_cap(config.q, config.d, parse_target(tag)[1], config.n_cap)
+        for tag in config.targets
+    )
+
+
+def _selected_bound(
+    config, zeros, target, n, side, mode, weil: dict, weights: np.ndarray | None = None
+) -> BoundReport:
+    """The bound at the degree the policy picks, from weights w_1..w_top
+    (_max_degree) if given.  In weil mode neither the degree nor the bound
+    depends on the zeros beyond their count, so weil holds them for the
+    rest of the scan."""
     key = (zeros.count, target, n, side)
     if mode == "weil" and key in weil:
         return weil[key]
     N = choose_degree(
-        config.policy, config.q, config.d, target, n, side, mode, zeros, config.n_cap
+        config.policy, config.q, config.d, target, n, side, mode, zeros, config.n_cap, weights
     )
-    rep = rigorous_bound(zeros, config.q, target, n, side, N, mode)
+    rep = rigorous_bound(zeros, config.q, target, n, side, N, mode, weights)
     if mode == "weil":
         weil[key] = rep
     return rep
 
 
 def _scan_one(
-    D: Poly, L, zeros: ZeroAngles, extrema: list[EmpiricalExtrema], config: ScanConfig, weil: dict
+    D: Poly,
+    L,
+    zeros: ZeroAngles,
+    extrema: list[EmpiricalExtrema],
+    config: ScanConfig,
+    weil: dict,
+    weights: dict,
 ):
     """Bounds and soundness checks for one modulus, given its L-polynomial,
     zero angles and extrema (one per config target); weil is the scan's
-    memo of weil-mode bounds (see _selected_bound)."""
+    memo of weil-mode bounds (see _selected_bound), weights the tail
+    weights w_1..w_top per mode."""
     q, d = L.q, L.d
     slack = config.soundness_slack
     rows = []
@@ -475,7 +513,7 @@ def _scan_one(
         target, n = parse_target(tag)
         reported = None
         for mode in ("weil", "exact"):
-            rep_up = _selected_bound(config, zeros, target, n, "upper", mode, weil)
+            rep_up = _selected_bound(config, zeros, target, n, "upper", mode, weil, weights[mode])
             N_up = rep_up.N_used
             if ext.max_value > rep_up.bound + slack:
                 violations.append(
@@ -483,7 +521,7 @@ def _scan_one(
                     f"exceeds bound {rep_up.bound!r} at N={N_up}"
                 )
             if target == "s":
-                rep_lo = _selected_bound(config, zeros, target, n, "lower", mode, weil)
+                rep_lo = _selected_bound(config, zeros, target, n, "lower", mode, weil, weights[mode])
                 if ext.min_value < rep_lo.bound - slack:
                     violations.append(
                         f"D={D} target={tag} mode={mode}: empirical min {ext.min_value!r} "
@@ -491,7 +529,7 @@ def _scan_one(
                     )
                 if n == 0:
                     for point, value in ((ext.argmax, ext.max_value), (ext.argmin, ext.min_value)):
-                        up, lo = s0_bound_interval_method(zeros, q, point, N_up, mode)
+                        up, lo = s0_bound_interval_method(zeros, q, point, N_up, mode, weights[mode])
                         if value > up + slack or value < lo - slack:
                             violations.append(
                                 f"D={D} target={tag} mode={mode}: interval-method bound "
@@ -532,13 +570,16 @@ def _scan_chunk(args):
     targets = [parse_target(tag) for tag in config.targets]
     rows, violations = [], []
     weil: dict = {}
+    top = _max_degree(config)
+    weil_weights = _tail_weights(q, top, "weil", None)
     for start in range(0, len(encodings), SCAN_BLOCK):
         moduli = [Poly.decode_monic(field, d, enc) for enc in encodings[start : start + SCAN_BLOCK]]
         Ls = [compute_lpolynomial(Character(D)) for D in moduli]
         zero_sets = [find_zero_angles(L) for L in Ls]
         extrema = block_extrema(zero_sets, targets, config.grid_size)
         for D, L, zeros, ext in zip(moduli, Ls, zero_sets, extrema):
-            r, v = _scan_one(D, L, zeros, ext, config, weil)
+            weights = {"weil": weil_weights, "exact": _tail_weights(q, top, "exact", zeros)}
+            r, v = _scan_one(D, L, zeros, ext, config, weil, weights)
             rows.extend(r)
             violations.extend(v)
     return rows, violations
@@ -570,12 +611,26 @@ def resolve_threads(threads: int | None) -> int:
         return 1
 
 
+def _chunk_spans(count: int, workers: int) -> list[tuple[int, int]]:
+    """(start, stop) of the chunks a scan of count moduli is dealt out in:
+    in order, at most workers*4 of them (one for a single worker), each a
+    union of whole SCAN_BLOCK blocks, so every modulus shares its block
+    with the same moduli whatever the worker count."""
+    if not count:
+        return []
+    blocks = -(-count // SCAN_BLOCK)
+    chunks = min(blocks, workers * 4 if workers > 1 else 1)
+    cuts = [min(count, SCAN_BLOCK * (blocks * i // chunks)) for i in range(chunks + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
 def ensemble_scan(config: ScanConfig) -> ScanResult:
     """Scan the ensemble: per-modulus rows, soundness checks, aggregates.
 
     Rows are ordered by modulus encoding then target order, independent of
-    the worker count: the modulus list is chunked in order and chunk
-    results are concatenated in order, so reruns are byte-identical."""
+    the worker count: the modulus list is dealt out in order as chunks of
+    whole blocks (_chunk_spans), and chunk results are concatenated in
+    order, so reruns are byte-identical."""
     moduli = sample_moduli(config)
     truncated = False
     if config.budget is not None and len(moduli) > config.budget:
@@ -601,15 +656,11 @@ def ensemble_scan(config: ScanConfig) -> ScanResult:
     }
     rows: list[dict] = []
     violations: list[str] = []
-    if workers <= 1 or len(encodings) < 4:
+    spans = _chunk_spans(len(encodings), workers)
+    if len(spans) <= 1:
         rows, violations = _scan_chunk((config.q, config.d, encodings, kwargs))
     else:
-        chunk_count = min(len(encodings), workers * 4)
-        chunks = [
-            (config.q, config.d, [int(e) for e in block], kwargs)
-            for block in np.array_split(np.asarray(encodings), chunk_count)
-            if len(block)
-        ]
+        chunks = [(config.q, config.d, encodings[a:b], kwargs) for a, b in spans]
         import multiprocessing as mp
 
         try:

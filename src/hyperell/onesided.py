@@ -541,25 +541,49 @@ def interval_polys(alpha: float, beta: float, N: int, grid_points: int | None = 
     hi = construct_one_sided("sawtooth", "majorant", N, grid_points)
     minor = _compose_interval(lo.poly, alpha, beta)
     major = _compose_interval(hi.poly, alpha, beta)
-    pts = np.unique(
-        np.concatenate(
-            [
-                np.arange(4096) / 4096.0,
-                (alpha + _cluster_points(_CERT_CLUSTER_DEPTH)) % 1.0,
-                (beta + _cluster_points(_CERT_CLUSTER_DEPTH)) % 1.0,
-            ]
-        )
+    _certify_interval(minor, major, alpha, beta)
+    return minor, major
+
+
+_INTERVAL_GRID = np.arange(4096) / 4096.0
+_INTERVAL_CLUSTER = _cluster_points(_CERT_CLUSTER_DEPTH)
+
+
+def _uniform_values(p: TrigPoly, r: TrigPoly, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """p and r (of one degree) at m/M for m = 0..M-1 from one inverse FFT:
+    harmonic k puts (a_k - i b_k)/2 in bin k mod M and its conjugate in bin
+    -k mod M, so each transform is real; r rides in the imaginary part."""
+    k = np.arange(1, p.degree + 1)
+    hp = (np.asarray(p.cos[1:]) - 1j * np.asarray(p.sin)) / 2.0
+    hr = (np.asarray(r.cos[1:]) - 1j * np.asarray(r.sin)) / 2.0
+    spec = np.zeros(M, dtype=complex)
+    spec[0] = p.mean + 1j * r.mean
+    np.add.at(spec, k % M, hp + 1j * hr)
+    np.add.at(spec, -k % M, np.conj(hp) + 1j * np.conj(hr))
+    values = M * np.fft.ifft(spec)
+    return values.real, values.imag
+
+
+def _certify_interval(minor: TrigPoly, major: TrigPoly, alpha: float, beta: float):
+    """Raise CertificationError unless minor <= 1_[alpha, beta] <= major
+    within 1e-11 on the uniform 4,096-point grid and at the cluster points
+    approaching both ends."""
+    N = minor.degree
+    cluster = np.concatenate([(alpha + _INTERVAL_CLUSTER) % 1.0, (beta + _INTERVAL_CLUSTER) % 1.0])
+    table = trig_table(cluster, N)
+    ind_grid, ind_cluster = _indicator(alpha, beta, _INTERVAL_GRID), _indicator(alpha, beta, cluster)
+    minor_grid, major_grid = _uniform_values(minor, major, len(_INTERVAL_GRID))
+    worst_minor = min(
+        float(np.min(ind_grid - minor_grid)), float(np.min(ind_cluster - minor.from_table(*table)))
     )
-    ind = _indicator(alpha, beta, pts)
-    table = trig_table(pts, N)
-    worst_minor = float(np.min(ind - minor.from_table(*table)))
-    worst_major = float(np.max(ind - major.from_table(*table)))
+    worst_major = max(
+        float(np.max(ind_grid - major_grid)), float(np.max(ind_cluster - major.from_table(*table)))
+    )
     if worst_minor < -1e-11 or worst_major > 1e-11:
         raise CertificationError(
             f"interval [{alpha}, {beta}] N={N}: composition violates one-sidedness "
             f"(minorant {worst_minor:.3e}, majorant {worst_major:.3e})"
         )
-    return minor, major
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hyperell.argfunc import (
     SnEvaluator,
     antiderivative_constant,
     argument_sum,
+    column_sums,
     count_zeros,
     jump_limits,
     log_modulus,
@@ -228,6 +229,29 @@ def test_log_modulus_singularity_marker():
     zeros = ZeroAngles((0.25, 0.75), 0.0)
     assert log_modulus(zeros, 0.25) == -math.inf
     assert log_modulus(zeros, 0.75 + 1e-13) == -math.inf
+
+
+@pytest.mark.parametrize("count", [*range(1, 41), 64, 100, 128, 129, 300])
+def test_column_sums_match_numpy_row_sums(count):
+    # every column sum rounds as np.sum rounds the matching row, also for
+    # rows of signed zeros, infinities and NaNs (only NaN payloads may differ)
+    rng = np.random.default_rng(count)
+    rows = rng.standard_normal((400, count)) * 10.0 ** rng.integers(-12, 13, (400, count))
+    special = rng.random((400, count)) < 0.2
+    rows[special] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], special.sum())
+    rows[:50] = rng.choice([0.0, -0.0], (50, count))
+    rows[50] = -0.0
+    rows[51] = math.inf
+    with np.errstate(invalid="ignore"):
+        want = np.sum(rows, axis=-1)
+        got = column_sums(np.ascontiguousarray(rows.T))
+        out = np.full(400, 7.0)
+        column_sums(np.ascontiguousarray(rows.T), out=out)
+    nan = np.isnan(want)
+    for vals in (got, out):
+        assert np.array_equal(np.isnan(vals), nan)
+        assert np.array_equal(vals[~nan].view(np.int64), want[~nan].view(np.int64))
+    assert np.array_equal(column_sums(np.empty((0, 3))), np.zeros(3))
 
 
 def test_kernel_matches_direct_grid_evaluation(zeros_d5):

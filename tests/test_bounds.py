@@ -1,15 +1,21 @@
 import math
 import random
 
+import bound_oracle
 import extrema_oracle
 import numpy as np
 import pytest
 
+from hyperell import bounds
 from hyperell.argfunc import argument_sum, log_modulus
 from hyperell.bounds import (
     SCAN_BLOCK,
     SCAN_TARGETS,
     ScanConfig,
+    _chunk_spans,
+    _max_degree,
+    _selected_bound,
+    _tail_weights,
     block_extrema,
     choose_degree,
     degree_choice,
@@ -22,8 +28,18 @@ from hyperell.bounds import (
     sample_moduli,
 )
 from hyperell.charsum import Character
+from hyperell.cli import rows_to_csv
+from hyperell.errors import CertificationError
 from hyperell.fqpoly import FieldSpec, enumerate_Hd
 from hyperell.lfunc import compute_lpolynomial, find_zero_angles
+from hyperell.onesided import (
+    TrigPoly,
+    _certify_interval,
+    _compose_interval,
+    _uniform_values,
+    construct_one_sided,
+    interval_polys,
+)
 
 F3 = FieldSpec(3)
 
@@ -159,8 +175,6 @@ def test_interval_gap_term_independent_of_theta():
     # the main term of the symmetric-interval route is 2g/(N+1) scaled,
     # independent of theta: the indicator polynomial mean always exceeds
     # the interval length by the same construction gap
-    from hyperell.onesided import interval_polys
-
     for N in (2, 4):
         gaps = []
         for theta in (0.05, 0.2, 0.35, 0.49):
@@ -193,6 +207,95 @@ def test_interval_vs_majorant_route_same_ballpark(pipe_d5):
         assert ext.max_value <= up + 1e-9
         ratios.append(direct / up)
     assert all(1 / 2.5 <= r <= 2.5 for r in ratios)
+
+
+# --- bound layer against its oracle ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bound_ensembles():
+    """(d, zero sets): all of F_3 H_5 and a seeded 100-modulus sample of H_7."""
+    h7 = random.Random(77).sample(list(enumerate_Hd(F3, 7)), 100)
+    return [
+        (d, [find_zero_angles(compute_lpolynomial(Character(D))) for D in Ds])
+        for d, Ds in ((5, list(enumerate_Hd(F3, 5))), (7, h7))
+    ]
+
+
+@pytest.mark.parametrize("policy", ["formula", "exhaustive", "fixed:0", "fixed:3"])
+def test_degree_selection_matches_oracle(bound_ensembles, policy):
+    # N_used and every report field equal the oracle that evaluates the
+    # full bound once per candidate degree, for the public functions and
+    # for the scan's path (prefix weights, weil memo shared across moduli)
+    for d, zero_sets in bound_ensembles:
+        config = ScanConfig(q=3, d=d, policy=policy)
+        top = _max_degree(config)
+        weil_memo: dict = {}
+        for zeros in zero_sets:
+            for mode in ("weil", "exact"):
+                weights = _tail_weights(3, top, mode, zeros)
+                for tag in SCAN_TARGETS:
+                    target, n = parse_target(tag)
+                    for side in ("upper",) if target == "logmod" else ("upper", "lower"):
+                        N = bound_oracle.choose_degree(policy, 3, d, target, n, side, mode, zeros)
+                        want = bound_oracle.rigorous_bound(zeros, 3, target, n, side, N, mode)
+                        assert choose_degree(policy, 3, d, target, n, side, mode, zeros) == N
+                        assert rigorous_bound(zeros, 3, target, n, side, N, mode) == want
+                        got = _selected_bound(
+                            config, zeros, target, n, side, mode, weil_memo, weights
+                        )
+                        assert got == want
+
+
+def _outcome(certify, *args):
+    try:
+        certify(*args)
+    except CertificationError:
+        return "raises"
+    return "passes"
+
+
+@pytest.mark.parametrize("N", [*range(9), 12])
+def test_interval_certification_matches_oracle(N):
+    # the FFT-grid certification passes and raises exactly where the
+    # certification on the sorted union of points does: on the composed
+    # polynomials, shifted by 1e-10 across the indicator, and shifted just
+    # past and just short of the oracle's own worst margin
+    saw_lo = construct_one_sided("sawtooth", "minorant", N).poly
+    saw_hi = construct_one_sided("sawtooth", "majorant", N).poly
+    rng = random.Random(N)
+    seen = set()
+    for t in [0.0, 0.25, 0.5, 1 / 4096, 1 / 3, 0.1, 0.49999, *(rng.uniform(0, 0.5) for _ in range(5))]:
+        alpha, beta = -t, t
+        minor, major = _compose_interval(saw_lo, alpha, beta), _compose_interval(saw_hi, alpha, beta)
+        assert interval_polys(alpha, beta, N) == (minor, major)
+        worst_minor, worst_major = bound_oracle.interval_margins(minor, major, alpha, beta)
+        cases = [(minor, major)]
+        for shift in (1e-10, worst_minor + 2e-11, worst_minor - 2e-11):
+            cases.append((minor.shifted(shift), major))
+        for shift in (1e-10, -worst_major + 2e-11, -worst_major - 2e-11):
+            cases.append((minor, major.shifted(-shift)))
+        for lower, upper in cases:
+            want = _outcome(bound_oracle.certify_interval, lower, upper, alpha, beta)
+            assert _outcome(_certify_interval, lower, upper, alpha, beta) == want
+            seen.add(want)
+    assert seen == {"passes", "raises"}
+
+
+@pytest.mark.parametrize("N", [0, 1, 5, 31, 32, 33, 100])
+def test_uniform_values_match_direct_evaluation(N):
+    # one inverse FFT gives both polynomials on the uniform grid, also when
+    # the degree wraps past the grid (harmonics fold onto bin k mod M); the
+    # reference sums cos and sin of the angles reduced exactly mod 1
+    rng = np.random.default_rng(N)
+    polys = [
+        TrigPoly(tuple(rng.uniform(-1, 1, N + 1)), tuple(rng.uniform(-1, 1, N)))
+        for _ in range(2)
+    ]
+    ang = 2 * np.pi * (np.outer(np.arange(64), np.arange(1, N + 1)) % 64) / 64
+    for got, poly in zip(_uniform_values(*polys, 64), polys):
+        want = poly.mean + np.cos(ang) @ np.array(poly.cos[1:]) + np.sin(ang) @ np.array(poly.sin)
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 # --- empirical extrema ---------------------------------------------------------
@@ -257,6 +360,42 @@ def test_block_extrema_match_per_modulus_oracle(ensembles, name, grid_size):
         assert row == [
             extrema_oracle.empirical_extrema(zeros, target, n, grid_size) for target, n in targets
         ]
+
+
+@pytest.fixture(scope="module")
+def slice_ensembles():
+    """Zero sets of all of F_3 H_5 and of a seeded 50-modulus sample of H_9,
+    whose 2g = 8 zeros take the pairwise branch of column_sums."""
+    h9 = random.Random(909).sample(list(enumerate_Hd(F3, 9)), 50)
+    return [
+        [find_zero_angles(compute_lpolynomial(Character(D))) for D in Ds]
+        for Ds in (list(enumerate_Hd(F3, 5)), h9)
+    ]
+
+
+def _scan_blocks(zero_sets, targets):
+    out = []
+    for start in range(0, len(zero_sets), SCAN_BLOCK):
+        out.extend(block_extrema(zero_sets[start : start + SCAN_BLOCK], targets))
+    return out
+
+
+def test_grid_slice_does_not_change_extrema(slice_ensembles, monkeypatch):
+    targets = [parse_target(tag) for tag in SCAN_TARGETS]
+    for zero_sets in slice_ensembles:
+        results = []
+        for rows in (1024, 2048, 16384):
+            monkeypatch.setattr(bounds, "_GRID_SLICE", rows)
+            results.append(_scan_blocks(zero_sets, targets))
+        assert results[0] == results[1] == results[2]
+
+
+def test_block_extrema_match_oracle_with_eight_zeros(slice_ensembles):
+    h9 = slice_ensembles[1]
+    assert {zeros.count for zeros in h9} == {8}
+    targets = [parse_target(tag) for tag in SCAN_TARGETS]
+    for zeros, row in zip(h9, _scan_blocks(h9, targets)):
+        assert row == [extrema_oracle.empirical_extrema(zeros, target, n) for target, n in targets]
 
 
 def test_single_target_extrema_match_oracle(ensembles):
@@ -338,6 +477,32 @@ def test_block_scan_matches_per_modulus_scan(mode, threads):
     rows, violations = extrema_oracle.scan(sample_moduli(config), config)
     assert result.rows == rows
     assert result.violations == violations
+
+
+def test_chunks_are_unions_of_whole_blocks():
+    for count in range(0, 120):
+        for workers in range(1, 5):
+            spans = _chunk_spans(count, workers)
+            assert [a for a, _ in spans] + [count] == [0] + [b for _, b in spans]
+            assert len(spans) <= (workers * 4 if workers > 1 else 1)
+            assert all(a % SCAN_BLOCK == 0 for a, _ in spans)
+            assert all((b - a) % SCAN_BLOCK == 0 for a, b in spans[:-1])
+    assert _chunk_spans(10, 2) == [(0, 10)]
+    assert _chunk_spans(40, 2) == [(0, 16), (16, 32), (32, 40)]
+
+
+@pytest.mark.parametrize("mode", ["weil", "exact"])
+def test_scan_rows_identical_at_one_two_three_workers(mode):
+    # 40 moduli: two full blocks and a partial one, dealt out whole
+    results = [
+        ensemble_scan(ScanConfig(q=3, d=5, sample="random:40", seed=17, mode=mode, threads=t))
+        for t in (1, 2, 3)
+    ]
+    csvs = {rows_to_csv(r.rows, 5) for r in results}
+    assert len(csvs) == 1
+    rows, violations = extrema_oracle.scan(sample_moduli(results[0].config), results[0].config)
+    assert results[0].rows == rows
+    assert all(r.violations == violations for r in results)
 
 
 def test_scan_deterministic_across_runs_and_threads():
