@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""Rewrite src/hyperell/onesided_constructions.json from the LP solver.
+
+The file holds every one-sided polynomial the default scan's warm-up builds
+(SCAN_TARGETS at n_cap = 8: the log2sin majorant and bernoulli:1..3 on
+both sides, N = 0..8), with its LP provenance.  construct_one_sided serves
+these keys from the file, re-certifying each one, instead of re-solving
+them in every process.  The stored file is hidden while the solver runs, so
+every entry is a fresh solve.  Rerun this after any change to the
+construction (grids, LP, certification or repair); the tier-1 test
+test_stored_constructions_match_solver fails until the file matches.
+
+Example:
+    python scripts/make_onesided_constructions.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hyperell import onesided
+from hyperell.bounds import ScanConfig, _warm_construction_cache
+
+
+def main():
+    onesided._STORE = {}
+    onesided._CACHE.clear()
+    _warm_construction_cache(ScanConfig(q=3, d=7))
+    entries = [
+        {
+            "target": target,
+            "side": side,
+            "N": N,
+            "grid_points": grid_points,
+            "cos": list(r.poly.cos),
+            "sin": list(r.poly.sin),
+            "lp_mean": r.lp_mean,
+            "repair_epsilon": r.repair_epsilon,
+            "rounds": r.rounds,
+            "constraints": r.constraints,
+        }
+        for (target, side, N, grid_points), r in sorted(onesided._CACHE.items())
+    ]
+    text = "[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n"
+    onesided._STORE_FILE.write_text(text, encoding="utf-8")
+    print(f"wrote {len(entries)} constructions to {onesided._STORE_FILE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -413,7 +413,6 @@ class ScanConfig:
     n_cap: int = DEFAULT_N_CAP
     soundness_slack: float = SOUNDNESS_SLACK
     threads: int | None = None
-    budget: int | None = None  # cap on moduli; exceeding it truncates and flags
 
     def __post_init__(self):
         FieldSpec(self.q)  # validates q odd prime
@@ -433,7 +432,6 @@ class ScanResult:
     rows: list[dict]
     violations: list[str]
     aggregates: dict
-    truncated: bool = False
 
 
 def sample_moduli(config: ScanConfig) -> list[Poly]:
@@ -631,12 +629,7 @@ def ensemble_scan(config: ScanConfig) -> ScanResult:
     the worker count: the modulus list is dealt out in order as chunks of
     whole blocks (_chunk_spans), and chunk results are concatenated in
     order, so reruns are byte-identical."""
-    moduli = sample_moduli(config)
-    truncated = False
-    if config.budget is not None and len(moduli) > config.budget:
-        moduli = moduli[: config.budget]
-        truncated = True
-    encodings = [D.monic_index() for D in moduli]
+    encodings = [D.monic_index() for D in sample_moduli(config)]
     _warm_construction_cache(config)
     workers = resolve_threads(config.threads)
     kwargs = {
@@ -672,7 +665,7 @@ def ensemble_scan(config: ScanConfig) -> ScanResult:
         except (ImportError, OSError, ValueError):
             rows, violations = _scan_chunk((config.q, config.d, encodings, kwargs))
     aggregates = _aggregate(rows, config)
-    return ScanResult(config, rows, violations, aggregates, truncated)
+    return ScanResult(config, rows, violations, aggregates)
 
 
 def _aggregate(rows: list[dict], config: ScanConfig) -> dict:
@@ -684,7 +677,12 @@ def _aggregate(rows: list[dict], config: ScanConfig) -> dict:
         )
         if not len(vals):
             continue
-        counts, edges = np.histogram(vals, bins=20)
+        try:
+            counts, edges = np.histogram(vals, bins=20)
+        except ValueError:
+            # maxima a few ulps apart leave no room for 20 finite bins; take
+            # the range numpy itself takes for equal values
+            counts, edges = np.histogram(vals, bins=20, range=(vals.min() - 0.5, vals.max() + 0.5))
         ratios = [r["ratio"] for r in rows if r["target"] == target and r["n"] == n]
         out[tag] = {
             "count": int(len(vals)),

@@ -223,7 +223,6 @@ def cmd_scan(args) -> int:
         },
         "git_describe": git_describe(),
         "rows": len(result.rows),
-        "truncated": result.truncated,
         "aggregates": result.aggregates,
         "violations": result.violations,
     }

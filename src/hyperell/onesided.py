@@ -16,13 +16,19 @@ The grid LP is a relaxation, so its optimum brackets the true extremal
 mean from one side and the repaired polynomial brackets it from the
 other; both values are kept on the result so tests can assert the
 sandwich.
+
+The default scan's constructions are solved once, ahead of time, and
+stored beside this module (onesided_constructions.json); a process takes
+them from there and re-certifies them instead of re-running the LP.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -371,6 +377,24 @@ def _repair(poly: TrigPoly, spec: _Target, sgn: int, grid_points: int, margin, w
 
 _CACHE_LOCK = threading.Lock()
 _CACHE: dict[tuple, OneSidedResult] = {}
+# the default scan's constructions as solved by the loop below (written by
+# scripts/make_onesided_constructions.py), read on the first cache miss
+_STORE_FILE = Path(__file__).with_name("onesided_constructions.json")
+_STORE: dict[tuple, dict] | None = None
+
+
+def _read_store() -> dict[tuple, dict]:
+    """The stored file's entries by (target, side, N, grid_points)."""
+    entries = json.loads(_STORE_FILE.read_text(encoding="utf-8"))
+    return {(e["target"], e["side"], e["N"], e["grid_points"]): e for e in entries}
+
+
+def _stored_entry(key: tuple) -> dict | None:
+    global _STORE
+    with _CACHE_LOCK:
+        if _STORE is None:
+            _STORE = _read_store()
+        return _STORE.get(key)
 
 
 def construct_one_sided(
@@ -385,6 +409,8 @@ def construct_one_sided(
     side is "majorant" (minimal mean above the target) or "minorant"
     (maximal mean below it).  Results are cached per (target, side, N,
     grid); construction is pure, so concurrent callers share the cache.
+    Keys in the stored file take its polynomial instead of solving; it is
+    certified and repaired like a solved one.
     """
     if side not in ("majorant", "minorant"):
         raise ValueError(f"side must be majorant or minorant, got {side!r}")
@@ -407,6 +433,42 @@ def construct_one_sided(
     spec = target_spec(target, tbl)
     sgn = 1 if side == "majorant" else -1
 
+    def finish(poly, lp_mean, rounds, constraints, repair=0.0, certified=None):
+        """Certify (unless certified holds poly's (margin, worst)), repair
+        and cache poly, or raise CertificationError."""
+        margin, worst = certified or _certify(poly, spec, sgn, grid_points)[:2]
+        poly, margin, worst, shift = _repair(poly, spec, sgn, grid_points, margin, worst)
+        if margin < -_CERT_TOL:
+            raise CertificationError(
+                f"{target} {side} N={N}: margin {margin:.3e} at theta={worst:.12f} "
+                "after repair"
+            )
+        result = OneSidedResult(
+            poly=poly,
+            target=spec.name,
+            side=side,
+            achieved_mean=poly.mean,
+            oracle_mean=oracle_mean(target, side, N, tbl),
+            lp_mean=lp_mean,
+            certified_margin=margin,
+            repair_epsilon=repair + shift,
+            rounds=rounds,
+            constraints=constraints,
+        )
+        with _CACHE_LOCK:
+            _CACHE.setdefault(key, result)
+        return result
+
+    stored = _stored_entry(key)
+    if stored is not None:
+        return finish(
+            TrigPoly(tuple(stored["cos"]), tuple(stored["sin"])),
+            stored["lp_mean"],
+            stored["rounds"],
+            stored["constraints"],
+            stored["repair_epsilon"],
+        )
+
     # an odd target flips under reflection, so its extremal minorant is the
     # reflected majorant -P(-theta); certification below stays independent
     odd_bernoulli = spec.name.startswith("bernoulli:") and int(spec.name.split(":")[1]) % 2
@@ -415,29 +477,7 @@ def construct_one_sided(
         flipped = TrigPoly(
             tuple(-a for a in maj.poly.cos), tuple(b for b in maj.poly.sin)
         )
-        margin, worst, _ = _certify(flipped, spec, sgn, grid_points)
-        flipped, margin, worst, repair = _repair(
-            flipped, spec, sgn, grid_points, margin, worst
-        )
-        if margin < -_CERT_TOL:
-            raise CertificationError(
-                f"{target} minorant N={N}: margin {margin:.3e} at theta={worst:.12f}"
-            )
-        result = OneSidedResult(
-            poly=flipped,
-            target=spec.name,
-            side=side,
-            achieved_mean=flipped.mean,
-            oracle_mean=oracle_mean(target, side, N, tbl),
-            lp_mean=-maj.lp_mean,
-            certified_margin=margin,
-            repair_epsilon=repair,
-            rounds=maj.rounds,
-            constraints=maj.constraints,
-        )
-        with _CACHE_LOCK:
-            _CACHE.setdefault(key, result)
-        return result
+        return finish(flipped, -maj.lp_mean, maj.rounds, maj.constraints)
 
     grid = np.arange(grid_points) / float(grid_points)
     if spec.singular:
@@ -469,31 +509,8 @@ def construct_one_sided(
         if not cuts:
             break
         grid = np.unique(np.concatenate([grid, np.asarray(cuts)]))
-    lp_mean = poly.mean
-
     # the loop's last certification was of this very polynomial
-    poly, margin, worst, repair = _repair(poly, spec, sgn, grid_points, margin, worst)
-    if margin < -_CERT_TOL:
-        raise CertificationError(
-            f"{target} {side} N={N}: margin {margin:.3e} at theta={worst:.12f} "
-            "after repair"
-        )
-
-    result = OneSidedResult(
-        poly=poly,
-        target=spec.name,
-        side=side,
-        achieved_mean=poly.mean,
-        oracle_mean=oracle_mean(target, side, N, tbl),
-        lp_mean=lp_mean,
-        certified_margin=margin,
-        repair_epsilon=repair,
-        rounds=rounds,
-        constraints=used,
-    )
-    with _CACHE_LOCK:
-        _CACHE.setdefault(key, result)
-    return result
+    return finish(poly, poly.mean, rounds, used, certified=(margin, worst))
 
 
 # ---------------------------------------------------------------------------

@@ -458,17 +458,6 @@ def test_scan_rows_and_soundness():
         assert sum(agg["histogram"]["counts"]) == 12
 
 
-def test_scan_budget_truncates_with_flag():
-    full = ensemble_scan(ScanConfig(q=3, d=5, sample="random:8", seed=1, grid_size=2**10))
-    capped = ensemble_scan(
-        ScanConfig(q=3, d=5, sample="random:8", seed=1, grid_size=2**10, budget=3)
-    )
-    assert not full.truncated
-    assert capped.truncated
-    assert len(capped.rows) == 3 * len(capped.config.targets)
-    assert capped.rows == full.rows[: len(capped.rows)]
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("mode", ["weil", "exact"])
 def test_block_scan_matches_per_modulus_scan(mode, threads):

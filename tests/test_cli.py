@@ -122,6 +122,23 @@ def test_scan_rows_sorted_by_modulus(tmp_path):
     assert encs == sorted(encs)
 
 
+def test_scan_histogram_of_maxima_ulps_apart(tmp_path):
+    # the two S_0 maxima of this sample differ in the last bits, a range
+    # too narrow for 20 finite bins
+    out = tmp_path / "scan.csv"
+    proc = run_cli(
+        "scan", "--q", "3", "--d", "7", "--sample", "random:2", "--seed", "9008",
+        "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 8
+    lo, hi = sorted(float(r["empirical_max"]) for r in rows if r["target"] == "s" and r["n"] == "0")
+    assert 0.0 < hi - lo < 1e-14
+    manifest = json.loads((tmp_path / "scan.manifest.json").read_text())
+    assert sum(manifest["aggregates"]["s:0"]["histogram"]["counts"]) == 2
+
+
 def test_scan_config_file(tmp_path):
     cfg = RunConfig(
         q=3, d=5, targets=("s:0",), sample="random:6", seed=13, grid=1024,

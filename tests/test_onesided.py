@@ -7,6 +7,8 @@ from certify_oracle import certify as scalar_certify
 
 from hyperell import onesided
 from hyperell.bernoulli import bernoulli_extrema
+from hyperell.bounds import ScanConfig, _warm_construction_cache
+from hyperell.errors import CertificationError
 from hyperell.onesided import (
     LOG_SINE_FLOOR,
     OneSidedResult,
@@ -77,7 +79,15 @@ def test_certify_matches_scalar_oracle(target, side):
             assert onesided._certify(p, spec, sgn, grid) == scalar_certify(p, spec, sgn, grid)
 
 
-def test_constructions_match_scalar_certification(monkeypatch):
+@pytest.fixture
+def solver_only(monkeypatch):
+    """Hide the stored constructions (and start from an empty cache), so
+    every key runs the cutting-plane loop."""
+    monkeypatch.setattr(onesided, "_STORE", {})
+    monkeypatch.setattr(onesided, "_CACHE", {})
+
+
+def test_constructions_match_scalar_certification(monkeypatch, solver_only):
     def build_all():
         monkeypatch.setattr(onesided, "_CACHE", {})
         return [
@@ -90,6 +100,36 @@ def test_constructions_match_scalar_certification(monkeypatch):
     batched = build_all()
     monkeypatch.setattr(onesided, "_certify", scalar_certify)
     assert build_all() == batched
+
+
+# --- stored constructions -------------------------------------------------------
+
+
+def test_stored_constructions_match_solver(monkeypatch, solver_only):
+    _warm_construction_cache(ScanConfig(q=3, d=7))
+    solved = dict(onesided._CACHE)
+    store = onesided._read_store()
+    assert len(solved) == 63
+    assert set(store) == set(solved)
+
+    monkeypatch.setattr(onesided, "_STORE", store)
+    for key, fresh in solved.items():
+        monkeypatch.setattr(onesided, "_CACHE", {})
+        assert construct_one_sided(*key) == fresh
+
+    # an entry pushed across its target is repaired or refused, never served
+    for key, entry in store.items():
+        sgn = 1 if key[1] == "majorant" else -1
+        pushed = dict(entry, cos=[entry["cos"][0] - sgn * 1e-6] + entry["cos"][1:])
+        monkeypatch.setattr(onesided, "_STORE", {key: pushed})
+        monkeypatch.setattr(onesided, "_CACHE", {})
+        try:
+            r = construct_one_sided(*key)
+        except CertificationError:
+            continue
+        assert r.certified_margin >= 0.0
+        assert r.repair_epsilon > entry["repair_epsilon"]
+        assert r.achieved_mean != pushed["cos"][0]
 
 
 # --- degree-zero closed forms --------------------------------------------------
