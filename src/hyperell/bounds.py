@@ -21,18 +21,18 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .argfunc import fractional_parts, jump_limits, zero_sums
+from .argfunc import column_sums, fractional_parts, jump_limits, zero_sums
 from .bernoulli import bernoulli_envelope_constants
 from .charsum import Character
+from .errors import ConsistencyError
 from .fqpoly import FieldSpec, Poly, enumerate_Hd
-from .lfunc import ZeroAngles, compute_lpolynomial, find_zero_angles, power_sum
-from .onesided import construct_one_sided, interval_polys
+from .lfunc import ZeroAngles, block_zero_angles, compute_lpolynomial
+from .onesided import construct_one_sided, interval_poly_block
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,24 +114,68 @@ def _one_sided_fourier(target: str, n: int | None, side: str, N: int):
     return -res.poly.mean / fact, res.poly.abs_fourier() / fact
 
 
-def _tail_weights(q: int, N: int, mode: str, zeros: ZeroAngles | None) -> np.ndarray:
-    """w_1..w_N; w_k does not depend on N, so a prefix serves every lower degree."""
+def _tail_weights(q: int, N: int, mode: str, zero_sets: list[ZeroAngles] | None = None) -> np.ndarray:
+    """w_1..w_N as rows: one row shared by every modulus in weil mode, one
+    row per zero set in exact mode.  w_k does not depend on N, so a prefix
+    serves every lower degree.
+
+    Exact mode takes all power sums sum_j e(k theta_j) of the zero sets
+    from one zero-major matrix of the angles (2 pi k) theta_j, whose
+    cosines and sines column_sums adds as np.sum adds a zero set's 2g
+    terms; conjugate symmetry makes every imaginary part vanish, so one
+    above 1e-9 raises.
+    """
     ks = np.arange(1, N + 1, dtype=float)
     if mode == "weil":
-        return np.asarray(q) ** (ks / 2.0)
-    if mode == "exact":
-        if zeros is None:
-            raise ValueError("exact mode needs the computed zero angles")
-        return np.array([abs(power_sum(zeros, k)) for k in range(1, N + 1)])
-    raise ValueError(f"unknown bound mode {mode!r} (expected weil or exact)")
+        return (np.asarray(q) ** (ks / 2.0))[None, :]
+    if mode != "exact":
+        raise ValueError(f"unknown bound mode {mode!r} (expected weil or exact)")
+    if zero_sets is None:
+        raise ValueError("exact mode needs the computed zero angles")
+    theta = np.array([zeros.theta for zeros in zero_sets], dtype=float)
+    count = theta.shape[1]
+    ang = (theta.T[:, :, None] * (TWO_PI * np.arange(1, N + 1))).reshape(count, len(theta) * N)
+    im = column_sums(np.sin(ang))
+    bad = np.flatnonzero(np.abs(im) > 1e-9)
+    if len(bad):
+        k = int(bad[0]) % N + 1
+        raise ConsistencyError(f"power sum k={k} has imaginary part {im[bad[0]]:.3e}")
+    return np.abs(column_sums(np.cos(ang))).reshape(len(zero_sets), N)
 
 
-def _bound_terms(g: int, target: str, n: int | None, side: str, N: int, weights: np.ndarray):
-    """(main, tail, bound) at degree N from w_1.. (at least N of them)."""
-    w0, absw = _one_sided_fourier(target, n, side, N)
-    main = 2.0 * g * w0
-    tail = 2.0 * float(absw @ weights[:N]) if N > 0 else 0.0
-    return main, tail, main + tail if side == "upper" else main - tail
+def _select_bounds(
+    g: int, q: int, key: tuple, mode: str, degrees, fourier: dict, weights: np.ndarray
+) -> list[BoundReport]:
+    """The bound 2g W-hat(0) +/- sum |W-hat(k)| w_k for key = (target, n,
+    side), one report per row of weights (w_1.. up to the largest degree),
+    each at the first degree in degrees that minimizes the bound's
+    magnitude (a later degree must win by more than 1e-15).
+
+    fourier maps every degree N in degrees to (W-hat(0), |W-hat(k)| for
+    k = 1..N).  The degrees run as a loop with arrays over the rows: one
+    np.vecdot per degree sums each row in the order of absw @ w[:N].
+    """
+    target, n, side = key
+    best = np.full(len(weights), math.inf)
+    picked = np.zeros(len(weights), dtype=int)
+    terms = []
+    for i, N in enumerate(degrees):
+        w0, absw = fourier[N]
+        main = 2.0 * g * w0
+        tail = 2.0 * np.vecdot(weights[:, :N], absw) if N > 0 else np.zeros(len(weights))
+        bound = main + tail if side == "upper" else main - tail
+        val = bound if side == "upper" else -bound
+        better = val < best - 1e-15
+        best = np.where(better, val, best)
+        picked[better] = i
+        terms.append((N, main, tail.tolist(), bound.tolist()))
+    reports = []
+    for row, i in enumerate(picked.tolist()):
+        N, main, tail, bound = terms[i]
+        reports.append(
+            BoundReport(target, n, side, mode, q, 2 * g + 1, g, N, main, tail[row], bound[row])
+        )
+    return reports
 
 
 def rigorous_bound(
@@ -149,16 +193,28 @@ def rigorous_bound(
 
     Moduli have odd degree throughout (scans and lpoly reject even d), so
     the modulus degree is d = 2g + 1."""
-    g = zeros.count // 2
     if weights is None:
-        weights = _tail_weights(q, N, mode, zeros)
-    main, tail, bound = _bound_terms(g, target, n, side, N, weights)
-    return BoundReport(target, n, side, mode, q, 2 * g + 1, g, N, main, tail, bound)
+        weights = _tail_weights(q, N, mode, [zeros])
+    key = (target, n, side)
+    fourier = {N: _one_sided_fourier(*key, N)}
+    return _select_bounds(zeros.count // 2, q, key, mode, [N], fourier, np.atleast_2d(weights))[0]
 
 
 def _degree_cap(q: int, d: int, n: int | None, n_cap: int) -> int:
     """The largest degree exhaustive selection tries (covers the formula's)."""
     return max(n_cap, degree_choice(q, d, n or 0))
+
+
+def _candidate_degrees(policy: str, q: int, d: int, n: int | None, n_cap: int):
+    """The degrees a policy chooses among: formula and fixed:N name one,
+    exhaustive tries 0..cap."""
+    if policy == "formula":
+        return [degree_choice(q, d, n or 0)]
+    if policy.startswith("fixed:"):
+        return [int(policy.split(":", 1)[1])]
+    if policy != "exhaustive":
+        raise ValueError(f"unknown degree policy {policy!r}")
+    return range(_degree_cap(q, d, n, n_cap) + 1)
 
 
 def choose_degree(
@@ -178,24 +234,17 @@ def choose_degree(
     Exhaustive minimizes the rigorous bound magnitude over 0..cap (the cap
     always covers the formula degree, so exhaustive is never worse), each
     bound summed as rigorous_bound sums it, from one table of weights w_k
-    (weights, if given, holds at least cap of them)."""
-    if policy == "formula":
-        return degree_choice(q, d, n or 0)
-    if policy.startswith("fixed:"):
-        return int(policy.split(":", 1)[1])
+    (weights, if given, holds at least cap of them): a block of one
+    (_select_bounds)."""
+    degrees = _candidate_degrees(policy, q, d, n, n_cap)
     if policy != "exhaustive":
-        raise ValueError(f"unknown degree policy {policy!r}")
-    cap = _degree_cap(q, d, n, n_cap)
+        return degrees[0]
     if weights is None:
-        weights = _tail_weights(q, cap, mode, zeros)
-    g = zeros.count // 2
-    best_N, best_val = 0, math.inf
-    for N in range(cap + 1):
-        bound = _bound_terms(g, target, n, side, N, weights)[2]
-        val = bound if side == "upper" else -bound
-        if val < best_val - 1e-15:
-            best_N, best_val = N, val
-    return best_N
+        weights = _tail_weights(q, degrees[-1], mode, [zeros])
+    key = (target, n, side)
+    fourier = {N: _one_sided_fourier(*key, N) for N in degrees}
+    reports = _select_bounds(zeros.count // 2, q, key, mode, degrees, fourier, np.atleast_2d(weights))
+    return reports[0].N_used
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +290,41 @@ def _top_cells(vals: np.ndarray, count: int = _CELLS, spacing: int = 4) -> np.nd
     return np.asarray(picked, dtype=int)
 
 
+def _s0_extrema(zeros: ZeroAngles, grid: np.ndarray) -> EmpiricalExtrema:
+    """Extrema of S_0 over the grid and the one-sided limits at its jumps,
+    as the first maximum and minimum of the grid values in index order
+    followed by the left and then the right limits.
+
+    Only the ends of the arcs between zeros are evaluated.  Off the zero
+    angles S_0(theta) = g - sum_j frac(theta - theta_j) is affine with
+    slope -2g, so along a run of grid indices with no zero angle between
+    them it falls by 2g/grid_size per step, orders of magnitude more than
+    its rounding error (about 2g(g+1) 2^-52 for any grid below 2^40
+    points): the computed values fall strictly.  Each run starts at index
+    0 or just past a zero angle and ends at the last index or just before
+    one, so every other index is beaten by its run's first point and
+    beats its run's last.  The kept indices, ascending, are 0, the last
+    index, and k-1, k, k+1 for the last grid point k at or below each zero
+    angle (k itself when a zero sits on the grid); the first extremum among
+    them is the first extremum of the whole grid.
+    """
+    angles, left, right = jump_limits(zeros)
+    keep = np.zeros(len(grid), dtype=bool)
+    keep[[0, -1]] = True
+    below = np.searchsorted(grid, np.asarray(zeros.theta, dtype=float), side="right") - 1
+    for shift in (-1, 0, 1):
+        k = below + shift
+        keep[k[(k >= 0) & (k < len(grid))]] = True
+    points = grid[keep]
+    cand_vals = np.concatenate([zero_sums(fractional_parts(points, zeros.theta), 0), left, right])
+    cand_args = np.concatenate([points, angles, angles])
+    hi = int(np.argmax(cand_vals))
+    lo = int(np.argmin(cand_vals))
+    return EmpiricalExtrema(
+        float(cand_vals[hi]), float(cand_args[hi]), float(cand_vals[lo]), float(cand_args[lo])
+    )
+
+
 def block_extrema(
     zero_sets: list[ZeroAngles], targets: list[tuple[str, int | None]], grid_size: int = DEFAULT_GRID
 ) -> list[list[EmpiricalExtrema]]:
@@ -257,7 +341,8 @@ def block_extrema(
 
     The order-0 argument sum decreases between its upward jumps, so its
     supremum and infimum live at one-sided limits of the jumps; those are
-    evaluated exactly and merged with the grid.
+    evaluated exactly and merged with its extrema on the grid, which are
+    read off the ends of the arcs between zeros (_s0_extrema).
     """
     if grid_size < 2**10:
         raise ValueError(f"grid_size must be >= 1024, got {grid_size}")
@@ -282,23 +367,16 @@ def block_extrema(
     grid_extremes = {}
     out = [[None] * len(targets) for _ in zero_sets]
     vals = np.empty((len(targets), grid_size))
+    on_grid = [(t, n) for t, n in enumerate(orders) if n != 0]
     for b, zeros in enumerate(zero_sets):
-        for start in range(0, grid_size, _GRID_SLICE):
+        for start in range(0, grid_size if on_grid else 0, _GRID_SLICE):
             frac = fractional_parts(grid[start : start + _GRID_SLICE], zeros.theta)
-            for t, n in enumerate(orders):
+            for t, n in on_grid:
                 zero_sums(frac, n, out=vals[t, start : start + _GRID_SLICE])
         for t, n in enumerate(orders):
             v = vals[t]
             if n == 0:
-                angles, left, right = jump_limits(zeros)
-                cand_vals = np.concatenate([v, left, right])
-                cand_args = np.concatenate([grid, angles, angles])
-                hi = int(np.argmax(cand_vals))
-                lo = int(np.argmin(cand_vals))
-                out[b][t] = EmpiricalExtrema(
-                    float(cand_vals[hi]), float(cand_args[hi]),
-                    float(cand_vals[lo]), float(cand_args[lo]),
-                )
+                out[b][t] = _s0_extrema(zeros, grid)
                 continue
             if n is None:
                 v = np.where(np.isfinite(v), v, -np.inf)
@@ -356,11 +434,31 @@ def empirical_extrema(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _symmetric_interval_polys(t: float, N: int):
-    """interval_polys(-t, t, N); a scan checks each point in both modes,
-    which mostly pick the same N, so the second check reuses the first."""
-    return interval_polys(-t, t, N)
+def _s0_interval_bounds(g: int, points, degrees, weights) -> list[tuple[float, float]]:
+    """(upper, lower) of s0_bound_interval_method at each point, with its
+    degree and its row of weights w_1.. (at least that many).
+
+    The interval polynomials of every distinct (t, N) are composed and
+    certified once, together per degree (interval_poly_block); the bounds
+    are then summed point by point.
+    """
+    folded = []
+    for theta in points:
+        t = theta - math.floor(theta)
+        folded.append((1.0 - t, True) if t > 0.5 else (t, False))
+    polys = {}
+    for N in sorted(set(degrees)):
+        ts = list(dict.fromkeys(t for (t, _), M in zip(folded, degrees) if M == N))
+        polys.update(zip([(t, N) for t in ts], interval_poly_block([(-t, t) for t in ts], N)))
+    out = []
+    for (t, flip), N, w in zip(folded, degrees, weights):
+        minor, major = polys[t, N]
+        tail_plus = 2.0 * float(major.abs_fourier() @ w[:N]) if N > 0 else 0.0
+        tail_minus = 2.0 * float(minor.abs_fourier() @ w[:N]) if N > 0 else 0.0
+        upper = 0.5 * (2.0 * g * (major.mean - 2.0 * t) + tail_plus)
+        lower = 0.5 * (2.0 * g * (minor.mean - 2.0 * t) - tail_minus)
+        out.append((-lower, -upper) if flip else (upper, lower))
+    return out
 
 
 def s0_bound_interval_method(
@@ -379,20 +477,10 @@ def s0_bound_interval_method(
     then the interval indicator is replaced by its one-sided polynomials,
     whose mean gap 1/(N+1) does not depend on theta.  Odd symmetry reduces
     any angle to [0, 1/2].  weights holds w_1.. (at least N of them) if
-    the caller has them."""
-    g = zeros.count // 2
-    t = theta - math.floor(theta)
-    if t > 0.5:
-        up, lo = s0_bound_interval_method(zeros, q, 1.0 - t, N, mode, weights)
-        return -lo, -up
-    minor, major = _symmetric_interval_polys(t, N)
+    the caller has them.  A block of one (_s0_interval_bounds)."""
     if weights is None:
-        weights = _tail_weights(q, N, mode, zeros if mode == "exact" else None)
-    tail_plus = 2.0 * float(major.abs_fourier() @ weights[:N]) if N > 0 else 0.0
-    tail_minus = 2.0 * float(minor.abs_fourier() @ weights[:N]) if N > 0 else 0.0
-    upper = 0.5 * (2.0 * g * (major.mean - 2.0 * t) + tail_plus)
-    lower = 0.5 * (2.0 * g * (minor.mean - 2.0 * t) - tail_minus)
-    return upper, lower
+        weights = _tail_weights(q, N, mode, [zeros])
+    return _s0_interval_bounds(zeros.count // 2, [theta], [N], np.atleast_2d(weights))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -461,103 +549,127 @@ def sample_moduli(config: ScanConfig) -> list[Poly]:
     raise ValueError(f"unknown sample spec {config.sample!r}")
 
 
-def _max_degree(config: ScanConfig) -> int:
-    """The largest degree the config's policy picks for any of its targets."""
-    if config.policy.startswith("fixed:"):
-        return int(config.policy.split(":", 1)[1])
-    return max(
-        _degree_cap(config.q, config.d, parse_target(tag)[1], config.n_cap)
-        for tag in config.targets
+class _BoundLayer(NamedTuple):
+    """What a scan chunk's bound layer shares across its blocks."""
+
+    top: int  # the largest candidate degree: weights run w_1..w_top
+    keys: list[tuple]  # every (target, n, side) the scan checks
+    degrees: dict  # key -> the candidate degrees of the policy
+    fourier: dict  # key -> {N: (W-hat(0), |W-hat(k)| for k = 1..N)}
+    weil_weights: np.ndarray  # one row, shared by every modulus
+    weil: dict  # key -> weil-mode report: it depends on the zeros only via 2g
+
+
+def _bound_layer(config: ScanConfig) -> _BoundLayer:
+    """The chunk's bound layer for moduli of degree config.d = 2g + 1."""
+    q, d = config.q, config.d
+    keys = list(
+        dict.fromkeys(
+            (target, n, side)
+            for target, n in map(parse_target, config.targets)
+            for side in (("upper",) if target == "logmod" else ("upper", "lower"))
+        )
     )
+    degrees = {key: _candidate_degrees(config.policy, q, d, key[1], config.n_cap) for key in keys}
+    fourier = {key: {N: _one_sided_fourier(*key, N) for N in degrees[key]} for key in keys}
+    top = max((max(degrees[key]) for key in keys), default=0)
+    weil_weights = _tail_weights(q, top, "weil")
+    weil = {
+        key: _select_bounds((d - 1) // 2, q, key, "weil", degrees[key], fourier[key], weil_weights)[0]
+        for key in keys
+    }
+    return _BoundLayer(top, keys, degrees, fourier, weil_weights, weil)
 
 
-def _selected_bound(
-    config, zeros, target, n, side, mode, weil: dict, weights: np.ndarray | None = None
-) -> BoundReport:
-    """The bound at the degree the policy picks, from weights w_1..w_top
-    (_max_degree) if given.  In weil mode neither the degree nor the bound
-    depends on the zeros beyond their count, so weil holds them for the
-    rest of the scan."""
-    key = (zeros.count, target, n, side)
-    if mode == "weil" and key in weil:
-        return weil[key]
-    N = choose_degree(
-        config.policy, config.q, config.d, target, n, side, mode, zeros, config.n_cap, weights
-    )
-    rep = rigorous_bound(zeros, config.q, target, n, side, N, mode, weights)
-    if mode == "weil":
-        weil[key] = rep
-    return rep
+def _block_reports(zero_sets: list[ZeroAngles], config: ScanConfig, layer: _BoundLayer):
+    """(weights, reports) for a block of zero sets of one count: the tail
+    weights w_1..w_top per mode, one row per zero set, and the report at
+    the policy's degree per (mode, key), one per zero set.  Exact mode
+    selects each key's degree for the whole block at once."""
+    g = zero_sets[0].count // 2
+    weights = {
+        "weil": np.broadcast_to(layer.weil_weights, (len(zero_sets), layer.top)),
+        "exact": _tail_weights(config.q, layer.top, "exact", zero_sets),
+    }
+    reports = {("weil", key): [layer.weil[key]] * len(zero_sets) for key in layer.keys}
+    for key in layer.keys:
+        reports["exact", key] = _select_bounds(
+            g, config.q, key, "exact", layer.degrees[key], layer.fourier[key], weights["exact"]
+        )
+    return weights, reports
 
 
-def _scan_one(
-    D: Poly,
-    L,
-    zeros: ZeroAngles,
-    extrema: list[EmpiricalExtrema],
-    config: ScanConfig,
-    weil: dict,
-    weights: dict,
-):
-    """Bounds and soundness checks for one modulus, given its L-polynomial,
-    zero angles and extrema (one per config target); weil is the scan's
-    memo of weil-mode bounds (see _selected_bound), weights the tail
-    weights w_1..w_top per mode."""
-    q, d = L.q, L.d
+def _scan_block(moduli, Ls, zero_sets, extrema, config: ScanConfig, layer: _BoundLayer):
+    """Rows and soundness checks for a block of moduli of one degree, given
+    their L-polynomials, zero angles and extrema (one list per modulus,
+    aligned with config.targets) and the chunk's bound layer
+    (_bound_layer); the S_0 interval checks of the whole block are
+    composed and certified together."""
+    q, d = config.q, config.d
+    targets = [parse_target(tag) for tag in config.targets]
+    weights, reports = _block_reports(zero_sets, config, layer)
+    checks = [
+        (point, reports[mode, ("s", 0, "upper")][b].N_used, weights[mode][b])
+        for b, exts in enumerate(extrema)
+        for (target, n), ext in zip(targets, exts)
+        if (target, n) == ("s", 0)
+        for mode in ("weil", "exact")
+        for point in (ext.argmax, ext.argmin)
+    ]
+    interval = iter(_s0_interval_bounds(zero_sets[0].count // 2, *zip(*checks)) if checks else ())
     slack = config.soundness_slack
-    rows = []
-    violations = []
-    for tag, ext in zip(config.targets, extrema):
-        target, n = parse_target(tag)
-        reported = None
-        for mode in ("weil", "exact"):
-            rep_up = _selected_bound(config, zeros, target, n, "upper", mode, weil, weights[mode])
-            N_up = rep_up.N_used
-            if ext.max_value > rep_up.bound + slack:
-                violations.append(
-                    f"D={D} target={tag} mode={mode}: empirical max {ext.max_value!r} "
-                    f"exceeds bound {rep_up.bound!r} at N={N_up}"
-                )
-            if target == "s":
-                rep_lo = _selected_bound(config, zeros, target, n, "lower", mode, weil, weights[mode])
-                if ext.min_value < rep_lo.bound - slack:
+    rows, violations = [], []
+    for b, (D, L, exts) in enumerate(zip(moduli, Ls, extrema)):
+        for tag, (target, n), ext in zip(config.targets, targets, exts):
+            reported = None
+            for mode in ("weil", "exact"):
+                rep_up = reports[mode, (target, n, "upper")][b]
+                N_up = rep_up.N_used
+                if ext.max_value > rep_up.bound + slack:
                     violations.append(
-                        f"D={D} target={tag} mode={mode}: empirical min {ext.min_value!r} "
-                        f"below bound {rep_lo.bound!r} at N={rep_lo.N_used}"
+                        f"D={D} target={tag} mode={mode}: empirical max {ext.max_value!r} "
+                        f"exceeds bound {rep_up.bound!r} at N={N_up}"
                     )
-                if n == 0:
-                    for point, value in ((ext.argmax, ext.max_value), (ext.argmin, ext.min_value)):
-                        up, lo = s0_bound_interval_method(zeros, q, point, N_up, mode, weights[mode])
-                        if value > up + slack or value < lo - slack:
-                            violations.append(
-                                f"D={D} target={tag} mode={mode}: interval-method bound "
-                                f"({lo!r}, {up!r}) misses S_0({point!r}) = {value!r}"
-                            )
-            if mode == config.mode:
-                env = envelope(q, d, target, n, "upper")
-                reported = replace(
-                    rep_up,
-                    empirical=ext.max_value,
-                    empirical_arg=ext.argmax,
-                    ratio_to_envelope=ext.max_value / env,
-                )
-        row = {
-            "q": q,
-            "d": d,
-            "D": str(D),
-            "c": list(L.c),
-            "target": target,
-            "n": n,
-            "N_used": reported.N_used,
-            "mode": reported.mode,
-            "main_term": reported.main_term,
-            "tail_term": reported.tail_term,
-            "rigorous_bound": reported.bound,
-            "empirical_max": reported.empirical,
-            "argmax": reported.empirical_arg,
-            "ratio": reported.ratio_to_envelope,
-        }
-        rows.append(row)
+                if target == "s":
+                    rep_lo = reports[mode, (target, n, "lower")][b]
+                    if ext.min_value < rep_lo.bound - slack:
+                        violations.append(
+                            f"D={D} target={tag} mode={mode}: empirical min {ext.min_value!r} "
+                            f"below bound {rep_lo.bound!r} at N={rep_lo.N_used}"
+                        )
+                    if n == 0:
+                        for point, value in ((ext.argmax, ext.max_value), (ext.argmin, ext.min_value)):
+                            up, lo = next(interval)
+                            if value > up + slack or value < lo - slack:
+                                violations.append(
+                                    f"D={D} target={tag} mode={mode}: interval-method bound "
+                                    f"({lo!r}, {up!r}) misses S_0({point!r}) = {value!r}"
+                                )
+                if mode == config.mode:
+                    env = envelope(q, d, target, n, "upper")
+                    reported = replace(
+                        rep_up,
+                        empirical=ext.max_value,
+                        empirical_arg=ext.argmax,
+                        ratio_to_envelope=ext.max_value / env,
+                    )
+            row = {
+                "q": q,
+                "d": d,
+                "D": str(D),
+                "c": list(L.c),
+                "target": target,
+                "n": n,
+                "N_used": reported.N_used,
+                "mode": reported.mode,
+                "main_term": reported.main_term,
+                "tail_term": reported.tail_term,
+                "rigorous_bound": reported.bound,
+                "empirical_max": reported.empirical,
+                "argmax": reported.empirical_arg,
+                "ratio": reported.ratio_to_envelope,
+            }
+            rows.append(row)
     return rows, violations
 
 
@@ -566,20 +678,16 @@ def _scan_chunk(args):
     config = ScanConfig(**config_kwargs)
     field = FieldSpec(q)
     targets = [parse_target(tag) for tag in config.targets]
+    layer = _bound_layer(config)
     rows, violations = [], []
-    weil: dict = {}
-    top = _max_degree(config)
-    weil_weights = _tail_weights(q, top, "weil", None)
     for start in range(0, len(encodings), SCAN_BLOCK):
         moduli = [Poly.decode_monic(field, d, enc) for enc in encodings[start : start + SCAN_BLOCK]]
         Ls = [compute_lpolynomial(Character(D)) for D in moduli]
-        zero_sets = [find_zero_angles(L) for L in Ls]
+        zero_sets = block_zero_angles(Ls)
         extrema = block_extrema(zero_sets, targets, config.grid_size)
-        for D, L, zeros, ext in zip(moduli, Ls, zero_sets, extrema):
-            weights = {"weil": weil_weights, "exact": _tail_weights(q, top, "exact", zeros)}
-            r, v = _scan_one(D, L, zeros, ext, config, weil, weights)
-            rows.extend(r)
-            violations.extend(v)
+        r, v = _scan_block(moduli, Ls, zero_sets, extrema, config, layer)
+        rows.extend(r)
+        violations.extend(v)
     return rows, violations
 
 
@@ -655,6 +763,7 @@ def ensemble_scan(config: ScanConfig) -> ScanResult:
     else:
         chunks = [(config.q, config.d, encodings[a:b], kwargs) for a, b in spans]
         import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
 
         try:
             ctx = mp.get_context("fork")

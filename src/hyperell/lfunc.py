@@ -263,31 +263,53 @@ def _verify_reconstruction(zeros: ZeroAngles, L: LPolynomial, rtol=1e-6):
             )
 
 
-def _refine_bracket(xi, lo, hi, flo, fhi):
-    """Bisection to a tight bracket, then safeguarded Newton polish."""
+def _refine_brackets(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.ndarray:
+    """Roots in the sign-change brackets [lo, hi] of the cosine series with
+    coefficient rows a (one row per bracket), all brackets at once.
+
+    Every lane takes the steps of a scalar search: 30 bisections (a lane
+    whose midpoint value is exactly 0 stops there and returns the
+    midpoint), then up to 40 Newton steps from the bracket's center, each
+    lane leaving on its own df == 0, on a step that lands outside the
+    bracket widened by its width, or after a step below 1e-16; the result
+    is clamped to [0, 1/2].  Xi and Xi' are evaluated at a lane's point by
+    one np.vecdot row, which sums in the order of the scalar 1-D @ 1-D.
+    """
+    j = np.arange(a.shape[1])
+    ja = j * a
+    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
+    out = np.empty(len(lo))
+
+    def xi(rows, t):
+        return np.vecdot(np.cos(TWO_PI * np.multiply.outer(t, j)), a[rows])
+
+    live = np.arange(len(lo))
     for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        fm = xi(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
+        mid = 0.5 * (lo[live] + hi[live])
+        fm = xi(live, mid)
+        hit = fm == 0.0
+        out[live[hit]] = mid[hit]
+        live, mid, fm = live[~hit], mid[~hit], fm[~hit]
+        same = (fm < 0.0) == (flo[live] < 0.0)
+        lo[live[same]], flo[live[same]] = mid[same], fm[same]
+        hi[live[~same]] = mid[~same]
     t = 0.5 * (lo + hi)
     width = hi - lo
+    polish = live
     for _ in range(40):
-        df = xi.derivative_at(t)
-        if df == 0.0:
+        if not len(live):
             break
-        step = xi(t) / df
-        t2 = t - step
-        if not (lo - width <= t2 <= hi + width):
-            break
-        t = t2
-        if abs(step) < 1e-16:
-            break
-    return min(max(t, 0.0), 0.5)
+        df = -TWO_PI * np.vecdot(np.sin(TWO_PI * np.multiply.outer(t[live], j)), ja[live])
+        live, df = live[df != 0.0], df[df != 0.0]
+        step = xi(live, t[live]) / df
+        t2 = t[live] - step
+        inside = (lo[live] - width[live] <= t2) & (t2 <= hi[live] + width[live])
+        live, step = live[inside], step[inside]
+        t[live] = t2[inside]
+        live = live[~(np.abs(step) < 1e-16)]
+    t = t[polish]
+    out[polish] = np.where(0.5 < t, 0.5, np.where(0.0 > t, 0.0, t))
+    return out
 
 
 def _newton_on_derivative(xi, t0, lo, hi):
@@ -307,114 +329,148 @@ def _newton_on_derivative(xi, t0, lo, hi):
     return t
 
 
-def _isolate_half(xi, g, points, scale):
-    """Roots of Xi on [0, 1/2] as (theta, multiplicity), or None if short.
+def _isolate_block(series: list[CosineSeries], g: int, points: int) -> list[list | None]:
+    """Roots on [0, 1/2] of every Xi in series (all of genus g) as lists of
+    (theta, multiplicity), or None for an Xi whose multiplicities do not
+    account for all 2g angles (its caller escalates the grid).
 
-    Returns None when the assembled multiplicities do not account for all
-    2g angles, in which case the caller escalates the grid.
+    Each Xi is evaluated on the same uniform grid by one matrix-vector
+    product; the brackets of every sign change of the block are then
+    refined together (_refine_brackets).  Tangency sweeps, needed only
+    when sign changes fall short, run per Xi.
     """
     xs = np.linspace(0.0, 0.5, points + 1)
-    vs = xi(xs)
-    tiny = 1e-12 * scale
+    table = np.cos(TWO_PI * np.multiply.outer(xs, np.arange(g + 1)))
     spacing = 0.5 / points
-    found: list[tuple[float, int]] = []
-    blocked = np.zeros(len(xs), dtype=bool)
+    grids, founds, lanes = [], [], []
+    rows, los, his, flos = [], [], [], []
 
-    # near-zero grid values: endpoints carry even theta-multiplicity
-    small = np.abs(vs) <= tiny
-    for i in np.flatnonzero(small):
-        if blocked[i]:
-            continue
-        j = i
-        while j + 1 < len(xs) and small[j + 1]:
-            j += 1
-        blocked[i : j + 2] = True
-        if i == 0:
-            found.append((0.0, 2))
-        elif j == len(xs) - 1:
-            found.append((0.5, 2))
-        else:
-            left = vs[i - 1] if i > 0 else 0.0
-            right = vs[j + 1] if j + 1 < len(xs) else 0.0
-            center = float(xs[(i + j) // 2])
-            if left * right < 0:
-                found.append((_refine_bracket(xi, xs[i - 1], xs[j + 1], left, right), 1))
+    def bracket(m, i, k, fi):
+        lanes[m].append(len(los))
+        rows.append(m)
+        los.append(xs[i])
+        his.append(xs[k])
+        flos.append(fi)
+
+    for m, xi in enumerate(series):
+        vs = table @ xi.a
+        small = np.abs(vs) <= 1e-12 * xi.scale
+        found: list[tuple[float, int]] = []
+        lanes.append([])
+        blocked = np.zeros(len(xs), dtype=bool)
+        # near-zero grid values: endpoints carry even theta-multiplicity
+        for i in np.flatnonzero(small):
+            if blocked[i]:
+                continue
+            j = i
+            while j + 1 < len(xs) and small[j + 1]:
+                j += 1
+            blocked[i : j + 2] = True
+            if i == 0:
+                found.append((0.0, 2))
+            elif j == len(xs) - 1:
+                found.append((0.5, 2))
+            elif vs[i - 1] * vs[j + 1] < 0:
+                bracket(m, i - 1, j + 1, vs[i - 1])
             else:
-                found.append((center, 2))
-
-    # clean sign changes
-    for i in range(len(xs) - 1):
-        if blocked[i] or blocked[i + 1]:
-            continue
-        if vs[i] * vs[i + 1] < 0.0:
-            found.append((_refine_bracket(xi, xs[i], xs[i + 1], vs[i], vs[i + 1]), 1))
+                found.append((float(xs[(i + j) // 2]), 2))
+        # clean sign changes
+        free = ~(blocked[:-1] | blocked[1:])
+        for i in np.flatnonzero(free & (vs[:-1] * vs[1:] < 0.0)):
+            bracket(m, i, i + 1, vs[i])
+        grids.append((vs, blocked))
+        founds.append(found)
+    roots: list[float] = []
+    if los:
+        a = np.array([xi.a for xi in series])[rows]
+        roots = _refine_brackets(a, np.array(los), np.array(his), np.array(flos)).tolist()
 
     def total(entries):
         return sum(m if t < 1e-15 or abs(t - 0.5) < 1e-15 else 2 * m for t, m in entries)
 
-    if total(found) == 2 * g:
-        return found
-    if total(found) > 2 * g:
-        return None
-
-    # tangency sweep: local minima of |Xi| without sign change
-    tangency_cap = 8.0 * scale * (math.pi * max(g, 1) * spacing) ** 2
-    absv = np.abs(vs)
-    for i in range(1, len(xs) - 1):
-        if blocked[i - 1 : i + 2].any():
+    out: list[list | None] = []
+    for xi, (vs, blocked), found, ids in zip(series, grids, founds, lanes):
+        found += [(roots[k], 1) for k in ids]
+        if total(found) == 2 * g:
+            out.append(found)
             continue
-        if absv[i] <= absv[i - 1] and absv[i] <= absv[i + 1] and absv[i] <= tangency_cap:
-            if vs[i - 1] * vs[i + 1] <= 0.0:
-                continue  # sign change handled above
-            t = _newton_on_derivative(xi, float(xs[i]), xs[i] - 2 * spacing, xs[i] + 2 * spacing)
-            t = min(max(t, 0.0), 0.5)
-            if abs(xi(t)) <= 1e-10 * scale:
-                if all(abs(t - u) > spacing / 4 for u, _ in found):
-                    found.append((t, 2))
-    if total(found) == 2 * g:
-        return found
-    return None
+        if total(found) > 2 * g:
+            out.append(None)
+            continue
+        # tangency sweep: local minima of |Xi| without sign change
+        scale = xi.scale
+        tangency_cap = 8.0 * scale * (math.pi * max(g, 1) * spacing) ** 2
+        absv = np.abs(vs)
+        for i in range(1, len(xs) - 1):
+            if blocked[i - 1 : i + 2].any():
+                continue
+            if absv[i] <= absv[i - 1] and absv[i] <= absv[i + 1] and absv[i] <= tangency_cap:
+                if vs[i - 1] * vs[i + 1] <= 0.0:
+                    continue  # sign change handled above
+                t = _newton_on_derivative(xi, float(xs[i]), xs[i] - 2 * spacing, xs[i] + 2 * spacing)
+                t = min(max(t, 0.0), 0.5)
+                if abs(xi(t)) <= 1e-10 * scale:
+                    if all(abs(t - u) > spacing / 4 for u, _ in found):
+                        found.append((t, 2))
+        out.append(found if total(found) == 2 * g else None)
+    return out
 
 
-def find_zero_angles(L: LPolynomial, grid_factor: int = 64) -> ZeroAngles:
-    """All 2g zero angles of L, with multiplicity, by sign scanning Xi.
+def block_zero_angles(Ls: list[LPolynomial], grid_factor: int = 64) -> list[ZeroAngles]:
+    """All 2g zero angles of each L in a block of one genus, with
+    multiplicity, by sign scanning Xi.
 
     Scans a uniform grid over [0, 1/2] (the half circle suffices by the
-    theta <-> 1-theta symmetry), refines sign changes by bisection plus
-    Newton, detects tangencies as near-zero critical points, and mirrors
-    interior roots.  The grid escalates by doubling up to 1024 before a
-    root-isolation failure is reported with the suspect data.
+    theta <-> 1-theta symmetry), refines the sign changes of the whole
+    block at once by bisection plus Newton, detects tangencies as
+    near-zero critical points, and mirrors interior roots.  The grid of
+    an L whose angles are not all found escalates by doubling up to 1024
+    before a root-isolation failure is reported with the suspect data.
+    Every lane is independent, so an L's angles do not depend on its block.
     """
     if grid_factor < 16:
         raise ValueError(f"grid_factor must be >= 16, got {grid_factor}")
-    g = L.g
-    if g == 0:
-        return ZeroAngles((), 0.0)
-    xi = unitarize(L)
-    scale = xi.scale
+    if len({L.g for L in Ls}) > 1:
+        raise ValueError("a block takes L-polynomials of one genus")
+    if not Ls or Ls[0].g == 0:
+        return [ZeroAngles((), 0.0) for _ in Ls]
+    g = Ls[0].g
+    series = [unitarize(L) for L in Ls]
+    found: list[list | None] = [None] * len(Ls)
+    pending = list(range(len(Ls)))
     gf = grid_factor
     while True:
-        found = _isolate_half(xi, g, gf * (2 * g + 2), scale)
-        if found is not None:
+        for m, f in zip(pending, _isolate_block([series[m] for m in pending], g, gf * (2 * g + 2))):
+            found[m] = f
+        pending = [m for m in pending if found[m] is None]
+        if not pending:
             break
         if gf >= 1024:
             raise RootIsolationError(
-                f"could not isolate {2*g} zero angles for D = {L.D} "
+                f"could not isolate {2*g} zero angles for D = {Ls[pending[0]].D} "
                 f"(grid factor escalated to {gf})",
                 intervals=[(0.0, 0.5)],
             )
         gf *= 2
-    thetas: list[float] = []
-    for t, mult in sorted(found):
-        if t < 1e-15:
-            thetas.extend([0.0] * mult)
-        elif abs(t - 0.5) < 1e-15:
-            thetas.extend([0.5] * mult)
-        else:
-            thetas.extend([t] * mult)
-            thetas.extend([1.0 - t] * mult)
-    thetas.sort()
-    residual = float(np.max(np.abs(xi(np.array(thetas))))) if thetas else 0.0
-    zeros = ZeroAngles(tuple(thetas), residual)
-    _verify_reconstruction(zeros, L)
-    return zeros
+    out = []
+    for L, xi, roots in zip(Ls, series, found):
+        thetas: list[float] = []
+        for t, mult in sorted(roots):
+            if t < 1e-15:
+                thetas.extend([0.0] * mult)
+            elif abs(t - 0.5) < 1e-15:
+                thetas.extend([0.5] * mult)
+            else:
+                thetas.extend([t] * mult)
+                thetas.extend([1.0 - t] * mult)
+        thetas.sort()
+        residual = float(np.max(np.abs(xi(np.array(thetas)))))
+        zeros = ZeroAngles(tuple(thetas), residual)
+        _verify_reconstruction(zeros, L)
+        out.append(zeros)
+    return out
+
+
+def find_zero_angles(L: LPolynomial, grid_factor: int = 64) -> ZeroAngles:
+    """All 2g zero angles of one L: a block of one (block_zero_angles)."""
+    return block_zero_angles([L], grid_factor)[0]

@@ -244,6 +244,16 @@ def _coeffs_from_solution(x: np.ndarray, N: int, even: bool) -> TrigPoly:
     return TrigPoly(cos, sin[:N])
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, ascending: np.unique's sort and mask,
+    without its masked-array check (which imports numpy.ma)."""
+    a = np.sort(a)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _cluster_points(depth: int) -> np.ndarray:
     j = np.arange(1, depth + 1, dtype=float)
     return np.concatenate([2.0**-j, 1.0 - 2.0**-j])
@@ -322,7 +332,7 @@ def _certify(poly: TrigPoly, spec: _Target, side: int, base_grid: int):
     there.
     """
     fine = np.arange(10 * base_grid) / float(10 * base_grid)
-    pts = np.unique(np.concatenate([fine, _cluster_points(_CERT_CLUSTER_DEPTH)]))
+    pts = _sorted_unique(np.concatenate([fine, _cluster_points(_CERT_CLUSTER_DEPTH)]))
     pts, tvals = _constraint_values(spec, side, pts)
     h = side * (poly(pts) - tvals)
 
@@ -481,7 +491,7 @@ def construct_one_sided(
 
     grid = np.arange(grid_points) / float(grid_points)
     if spec.singular:
-        grid = np.unique(np.concatenate([grid, _cluster_points(_CLUSTER_DEPTH)]))
+        grid = _sorted_unique(np.concatenate([grid, _cluster_points(_CLUSTER_DEPTH)]))
 
     poly = None
     used = 0
@@ -508,7 +518,7 @@ def construct_one_sided(
                 cuts.extend([x, (x - bracket) % 1.0, (x + bracket) % 1.0])
         if not cuts:
             break
-        grid = np.unique(np.concatenate([grid, np.asarray(cuts)]))
+        grid = _sorted_unique(np.concatenate([grid, np.asarray(cuts)]))
     # the loop's last certification was of this very polynomial
     return finish(poly, poly.mean, rounds, used, certified=(margin, worst))
 
@@ -518,23 +528,45 @@ def construct_one_sided(
 # ---------------------------------------------------------------------------
 
 
-def _compose_interval(saw: TrigPoly, alpha: float, beta: float) -> TrigPoly:
-    """(beta-alpha) + P(alpha-theta) + P(theta-beta) in coefficient form."""
+def _compose_intervals(saw: TrigPoly, alphas: np.ndarray, betas: np.ndarray) -> list[TrigPoly]:
+    """(beta-alpha) + P(alpha-theta) + P(theta-beta) in coefficient form,
+    one polynomial per interval [alpha, beta].
+
+    Harmonic k takes c_k = conj(P-hat(k)) e(-k alpha) + P-hat(k) e(-k beta),
+    with the rounding of complex scalar arithmetic: the exponent is
+    -1j * 2 pi k times the endpoint as a Python complex times a float, and
+    each complex product is (ac - bd) + (ad + bc)i with every product
+    rounded on its own.  numpy's array complex product fuses them, so it
+    is spelled out here on real arrays.
+    """
     N = saw.degree
-    cos = [beta - alpha + 2.0 * saw.mean]
-    sin = []
-    for k in range(1, N + 1):
-        forward = saw.fourier(k)
-        ck = np.conj(forward) * np.exp(-1j * TWO_PI * k * alpha) + forward * np.exp(
-            -1j * TWO_PI * k * beta
-        )
-        cos.append(2.0 * ck.real)
-        sin.append(-2.0 * ck.imag)
-    return TrigPoly(tuple(cos), tuple(sin))
+    k = range(1, N + 1)
+    forward = np.array([saw.fourier(j) for j in k], dtype=complex)
+    unit = np.array([-1j * TWO_PI * j for j in k], dtype=complex)
+
+    def rotation(x):
+        z = np.empty((len(x), N), dtype=complex)
+        z.real = unit.real * x[:, None] - unit.imag * 0.0
+        z.imag = unit.real * 0.0 + unit.imag * x[:, None]
+        return np.exp(z)
+
+    def times(cr, ci, e):
+        return cr * e.real - ci * e.imag, cr * e.imag + ci * e.real
+
+    fr, fi = forward.real, forward.imag
+    a_re, a_im = times(fr, -fi, rotation(alphas))
+    b_re, b_im = times(fr, fi, rotation(betas))
+    re, im = a_re + b_re, a_im + b_im
+    const = (betas - alphas) + 2.0 * saw.mean
+    return [
+        TrigPoly((c0, *cos), tuple(sin))
+        for c0, cos, sin in zip(const.tolist(), (2.0 * re).tolist(), (-2.0 * im).tolist())
+    ]
 
 
-def _indicator(alpha: float, beta: float, thetas: np.ndarray) -> np.ndarray:
-    """Normalized indicator of [alpha, beta] on R/Z (1/2 at the endpoints)."""
+def _indicator(alpha, beta, thetas: np.ndarray) -> np.ndarray:
+    """Normalized indicator of [alpha, beta] on R/Z (1/2 at the endpoints);
+    alpha and beta may be columns, one interval per row."""
     th = np.asarray(thetas, dtype=float)
     rel = (th - alpha) - np.floor(th - alpha)
     length = beta - alpha
@@ -544,62 +576,95 @@ def _indicator(alpha: float, beta: float, thetas: np.ndarray) -> np.ndarray:
     return np.where(at_edge, 0.5, np.where(inside, 1.0, 0.0))
 
 
-def interval_polys(alpha: float, beta: float, N: int, grid_points: int | None = None):
-    """Minorant and majorant of the interval indicator, certified.
+def interval_poly_block(
+    intervals: list[tuple[float, float]], N: int, grid_points: int | None = None
+) -> list[tuple[TrigPoly, TrigPoly]]:
+    """Minorant and majorant of the indicator of each interval (alpha,
+    beta), all of degree N, certified together.
 
     Built exactly by composing the sawtooth one-sided polynomials: the
     identity 1_I(theta) = (beta-alpha) + B1(alpha-theta) + B1(theta-beta)
     transfers their one-sidedness pointwise, so both integral gaps equal
     1/(N+1) up to the sawtooth construction gap.
     """
-    if not (0.0 <= beta - alpha <= 1.0):
-        raise ValueError(f"interval length must be in [0, 1], got {beta - alpha}")
+    for alpha, beta in intervals:
+        if not (0.0 <= beta - alpha <= 1.0):
+            raise ValueError(f"interval length must be in [0, 1], got {beta - alpha}")
+    if not intervals:
+        return []
     lo = construct_one_sided("sawtooth", "minorant", N, grid_points)
     hi = construct_one_sided("sawtooth", "majorant", N, grid_points)
-    minor = _compose_interval(lo.poly, alpha, beta)
-    major = _compose_interval(hi.poly, alpha, beta)
-    _certify_interval(minor, major, alpha, beta)
-    return minor, major
+    alphas = np.array([alpha for alpha, _ in intervals], dtype=float)
+    betas = np.array([beta for _, beta in intervals], dtype=float)
+    minors = _compose_intervals(lo.poly, alphas, betas)
+    majors = _compose_intervals(hi.poly, alphas, betas)
+    _certify_intervals(minors, majors, alphas, betas)
+    return list(zip(minors, majors))
+
+
+def interval_polys(alpha: float, beta: float, N: int, grid_points: int | None = None):
+    """(minorant, majorant) of the indicator of [alpha, beta]: a block of
+    one (interval_poly_block)."""
+    return interval_poly_block([(alpha, beta)], N, grid_points)[0]
 
 
 _INTERVAL_GRID = np.arange(4096) / 4096.0
 _INTERVAL_CLUSTER = _cluster_points(_CERT_CLUSTER_DEPTH)
+_INTERVAL_ROWS = 4
 
 
-def _uniform_values(p: TrigPoly, r: TrigPoly, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """p and r (of one degree) at m/M for m = 0..M-1 from one inverse FFT:
-    harmonic k puts (a_k - i b_k)/2 in bin k mod M and its conjugate in bin
-    -k mod M, so each transform is real; r rides in the imaginary part."""
-    k = np.arange(1, p.degree + 1)
-    hp = (np.asarray(p.cos[1:]) - 1j * np.asarray(p.sin)) / 2.0
-    hr = (np.asarray(r.cos[1:]) - 1j * np.asarray(r.sin)) / 2.0
-    spec = np.zeros(M, dtype=complex)
-    spec[0] = p.mean + 1j * r.mean
-    np.add.at(spec, k % M, hp + 1j * hr)
-    np.add.at(spec, -k % M, np.conj(hp) + 1j * np.conj(hr))
-    values = M * np.fft.ifft(spec)
+def _uniform_values(ps: list[TrigPoly], rs: list[TrigPoly], M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each p and r (all of one degree) at m/M for m = 0..M-1, one row per
+    pair, from one inverse FFT per row: harmonic k puts (a_k - i b_k)/2 in
+    bin k mod M and its conjugate in bin -k mod M, so each transform is
+    real; r rides in the imaginary part."""
+    k = np.arange(1, ps[0].degree + 1)
+
+    def half(polys):
+        return (np.array([p.cos[1:] for p in polys]) - 1j * np.array([p.sin for p in polys])) / 2.0
+
+    hp, hr = half(ps), half(rs)
+    spec = np.zeros((len(ps), M), dtype=complex)
+    spec[:, 0] = np.array([p.mean for p in ps]) + 1j * np.array([r.mean for r in rs])
+    np.add.at(spec, (slice(None), k % M), hp + 1j * hr)
+    np.add.at(spec, (slice(None), -k % M), np.conj(hp) + 1j * np.conj(hr))
+    values = M * np.fft.ifft(spec, axis=-1)
     return values.real, values.imag
 
 
-def _certify_interval(minor: TrigPoly, major: TrigPoly, alpha: float, beta: float):
-    """Raise CertificationError unless minor <= 1_[alpha, beta] <= major
-    within 1e-11 on the uniform 4,096-point grid and at the cluster points
-    approaching both ends."""
-    N = minor.degree
-    cluster = np.concatenate([(alpha + _INTERVAL_CLUSTER) % 1.0, (beta + _INTERVAL_CLUSTER) % 1.0])
-    table = trig_table(cluster, N)
-    ind_grid, ind_cluster = _indicator(alpha, beta, _INTERVAL_GRID), _indicator(alpha, beta, cluster)
-    minor_grid, major_grid = _uniform_values(minor, major, len(_INTERVAL_GRID))
-    worst_minor = min(
-        float(np.min(ind_grid - minor_grid)), float(np.min(ind_cluster - minor.from_table(*table)))
-    )
-    worst_major = max(
-        float(np.max(ind_grid - major_grid)), float(np.max(ind_cluster - major.from_table(*table)))
-    )
-    if worst_minor < -1e-11 or worst_major > 1e-11:
+def _certify_intervals(
+    minors: list[TrigPoly], majors: list[TrigPoly], alphas: np.ndarray, betas: np.ndarray
+):
+    """Raise CertificationError, for the first interval that fails, unless
+    minor <= 1_[alpha, beta] <= major within 1e-11 on the uniform
+    4,096-point grid and at the cluster points approaching both ends, for
+    every interval (all polynomials of one degree)."""
+    N = minors[0].degree
+    a, b = alphas[:, None], betas[:, None]
+    cluster = np.concatenate([(a + _INTERVAL_CLUSTER) % 1.0, (b + _INTERVAL_CLUSTER) % 1.0], axis=1)
+    cos, sin = trig_table(cluster, N)
+
+    def at_cluster(polys):
+        c = np.array([p.cos for p in polys])[:, :, None]
+        s = np.array([p.sin for p in polys]).reshape(len(polys), N, 1)
+        return (c[:, :1] + cos @ c[:, 1:] + sin @ s)[:, :, 0]
+
+    ind_cluster = _indicator(a, b, cluster)
+    worst_minor = np.min(ind_cluster - at_cluster(minors), axis=1)
+    worst_major = np.max(ind_cluster - at_cluster(majors), axis=1)
+    # the grid in passes of a few intervals, whose arrays stay small
+    for i in range(0, len(minors), _INTERVAL_ROWS):
+        rows = slice(i, i + _INTERVAL_ROWS)
+        ind = _indicator(a[rows], b[rows], _INTERVAL_GRID)
+        lower, upper = _uniform_values(minors[rows], majors[rows], len(_INTERVAL_GRID))
+        np.minimum(worst_minor[rows], np.min(ind - lower, axis=1), out=worst_minor[rows])
+        np.maximum(worst_major[rows], np.max(ind - upper, axis=1), out=worst_major[rows])
+    bad = np.flatnonzero((worst_minor < -1e-11) | (worst_major > 1e-11))
+    if len(bad):
+        i = bad[0]
         raise CertificationError(
-            f"interval [{alpha}, {beta}] N={N}: composition violates one-sidedness "
-            f"(minorant {worst_minor:.3e}, majorant {worst_major:.3e})"
+            f"interval [{alphas[i]}, {betas[i]}] N={N}: composition violates one-sidedness "
+            f"(minorant {worst_minor[i]:.3e}, majorant {worst_major[i]:.3e})"
         )
 
 
@@ -635,7 +700,8 @@ def verify_coefficient_bounds(result: OneSidedResult, tol: float = 1e-6) -> Coef
     -1/(2|k|) - tol <= U-hat(k) <= tol; a violation is a hard failure
     since it means the LP or the repair went wrong.  For Bernoulli
     targets the decay constant max_k |P-hat(k)| k^m is fitted and
-    reported; no hard threshold exists for it.
+    reported; no hard threshold exists for it.  The log-sine minorant has
+    neither, so its report leaves both null.
     """
     poly = result.poly
     N = poly.degree
@@ -654,6 +720,8 @@ def verify_coefficient_bounds(result: OneSidedResult, tol: float = 1e-6) -> Coef
                 f"bounds by {worst:.3e}"
             )
         return CoefficientReport("log2sin", result.side, N, True, worst, None)
+    if result.target == "log2sin":
+        return CoefficientReport("log2sin", result.side, N, None, 0.0, None)
     m = int(result.target.split(":")[1])
     fitted = 0.0
     for k in range(1, N + 1):

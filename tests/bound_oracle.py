@@ -1,13 +1,16 @@
-"""Degree selection and interval certification as first written: the
-oracles for the bound layer.
+"""Degree selection, interval composition and interval certification as
+first written: the oracles for the bound layer.
 
-The library selects the exhaustive degree from one table of tail weights,
-building a report only for the chosen degree, and certifies the interval
-polynomials on the uniform grid by one inverse FFT plus a table at the
-cluster points.  This module keeps the original forms: one full bound
-evaluation per candidate degree, every weight and coefficient recomputed,
-and certification on the sorted union of all points.  The library must
-pick the same degrees and reports, and pass or raise on the same inputs.
+The library selects the degrees of a whole block of moduli from one
+table of Fourier coefficients and one matrix of tail weights, composes
+and certifies the interval polynomials of a block together, and
+certifies on the uniform grid by inverse FFT plus a table at the cluster
+points.  This module keeps the original forms: one modulus and one full
+bound evaluation per candidate degree, every weight and coefficient
+recomputed, each interval composed by scalar complex arithmetic, and
+certification on the sorted union of all points.  The library must pick
+the same degrees and reports, compose the same coefficients, and pass or
+raise on the same inputs.
 """
 
 import math
@@ -19,11 +22,14 @@ from hyperell.errors import CertificationError
 from hyperell.lfunc import power_sum
 from hyperell.onesided import (
     _CERT_CLUSTER_DEPTH,
+    TrigPoly,
     _cluster_points,
     _indicator,
     construct_one_sided,
     trig_table,
 )
+
+TWO_PI = 2.0 * math.pi
 
 
 def one_sided_fourier(target, n, side, N):
@@ -39,15 +45,18 @@ def one_sided_fourier(target, n, side, N):
     return -res.poly.mean / fact, res.poly.abs_fourier() / fact
 
 
+def tail_weights(zeros, q, N, mode):
+    """w_1..w_N: q^(k/2) in weil mode, |power sum| from the zeros in exact mode."""
+    if mode == "weil":
+        return np.asarray(q) ** (np.arange(1, N + 1, dtype=float) / 2.0)
+    return np.array([abs(power_sum(zeros, k)) for k in range(1, N + 1)])
+
+
 def rigorous_bound(zeros, q, target, n, side, N, mode="weil"):
     """The bound 2g W-hat(0) +/- sum |W-hat(k)| w_k at degree N, from scratch."""
     g = zeros.count // 2
     w0, absw = one_sided_fourier(target, n, side, N)
-    ks = np.arange(1, N + 1, dtype=float)
-    if mode == "weil":
-        weights = np.asarray(q) ** (ks / 2.0)
-    else:
-        weights = np.array([abs(power_sum(zeros, k)) for k in range(1, N + 1)])
+    weights = tail_weights(zeros, q, N, mode)
     main = 2.0 * g * w0
     tail = 2.0 * float(absw @ weights) if N > 0 else 0.0
     bound = main + tail if side == "upper" else main - tail
@@ -97,3 +106,42 @@ def certify_interval(minor, major, alpha, beta):
         raise CertificationError(
             f"interval [{alpha}, {beta}]: minorant {worst_minor:.3e}, majorant {worst_major:.3e}"
         )
+
+
+def compose_interval(saw, alpha, beta):
+    """(beta-alpha) + P(alpha-theta) + P(theta-beta) in coefficient form."""
+    cos = [beta - alpha + 2.0 * saw.mean]
+    sin = []
+    for k in range(1, saw.degree + 1):
+        forward = saw.fourier(k)
+        ck = np.conj(forward) * np.exp(-1j * TWO_PI * k * alpha) + forward * np.exp(
+            -1j * TWO_PI * k * beta
+        )
+        cos.append(2.0 * ck.real)
+        sin.append(-2.0 * ck.imag)
+    return TrigPoly(tuple(cos), tuple(sin))
+
+
+def interval_polys(alpha, beta, N):
+    """(minorant, majorant) of the indicator of [alpha, beta], certified."""
+    lo = construct_one_sided("sawtooth", "minorant", N).poly
+    hi = construct_one_sided("sawtooth", "majorant", N).poly
+    minor, major = compose_interval(lo, alpha, beta), compose_interval(hi, alpha, beta)
+    certify_interval(minor, major, alpha, beta)
+    return minor, major
+
+
+def s0_bound_interval_method(zeros, q, theta, N, mode="weil"):
+    """(upper, lower) bounds on S_0(theta) through the symmetric interval."""
+    g = zeros.count // 2
+    t = theta - math.floor(theta)
+    if t > 0.5:
+        up, lo = s0_bound_interval_method(zeros, q, 1.0 - t, N, mode)
+        return -lo, -up
+    minor, major = interval_polys(-t, t, N)
+    weights = tail_weights(zeros, q, N, mode)
+    tail_plus = 2.0 * float(major.abs_fourier() @ weights) if N > 0 else 0.0
+    tail_minus = 2.0 * float(minor.abs_fourier() @ weights) if N > 0 else 0.0
+    upper = 0.5 * (2.0 * g * (major.mean - 2.0 * t) + tail_plus)
+    lower = 0.5 * (2.0 * g * (minor.mean - 2.0 * t) - tail_minus)
+    return upper, lower

@@ -4,8 +4,10 @@ The library evaluates log|L| and S_n through one kernel on shared
 fractional-part matrices, and refines the extrema of a whole block of
 moduli in one golden-section search over lanes.  This module keeps the
 original forms: direct grid evaluation per function, one modulus and one
-target at a time, and the scan that ran the full pipeline modulus by
-modulus.  The block path must reproduce them float for float.
+target at a time, S_0 over the whole grid, and the scan that ran the
+full pipeline modulus by modulus on the scalar zero finder and bound
+layer (zeros_oracle, bound_oracle).  The block path must reproduce them
+float for float.
 """
 
 import math
@@ -13,17 +15,14 @@ from dataclasses import replace
 
 import numpy as np
 
+import bound_oracle
+import zeros_oracle
+
 from hyperell.argfunc import zero_multiplicities
 from hyperell.bernoulli import BernoulliTable, default_table
-from hyperell.bounds import (
-    EmpiricalExtrema,
-    _selected_bound,
-    envelope,
-    parse_target,
-    s0_bound_interval_method,
-)
+from hyperell.bounds import EmpiricalExtrema, envelope, parse_target
 from hyperell.charsum import Character
-from hyperell.lfunc import compute_lpolynomial, find_zero_angles
+from hyperell.lfunc import compute_lpolynomial
 
 
 def log_modulus(zeros, theta, singular_tol=1e-12):
@@ -152,11 +151,19 @@ def empirical_extrema(zeros, target, n, grid_size=2**14):
     return EmpiricalExtrema(max_value, argmax, min_value, argmin)
 
 
-def scan_one(D, config, weil):
+def selected_bound(config, zeros, target, n, side, mode):
+    """The bound at the degree the config's policy picks, from scratch."""
+    N = bound_oracle.choose_degree(
+        config.policy, config.q, config.d, target, n, side, mode, zeros, config.n_cap
+    )
+    return bound_oracle.rigorous_bound(zeros, config.q, target, n, side, N, mode)
+
+
+def scan_one(D, config):
     """Full pipeline and soundness checks for one modulus, extrema included."""
     char = Character(D)
     L = compute_lpolynomial(char)
-    zeros = find_zero_angles(L)
+    zeros = zeros_oracle.find_zero_angles(L)
     q, d = L.q, L.d
     slack = config.soundness_slack
     rows = []
@@ -166,7 +173,7 @@ def scan_one(D, config, weil):
         ext = empirical_extrema(zeros, target, n, config.grid_size)
         reported = None
         for mode in ("weil", "exact"):
-            rep_up = _selected_bound(config, zeros, target, n, "upper", mode, weil)
+            rep_up = selected_bound(config, zeros, target, n, "upper", mode)
             N_up = rep_up.N_used
             if ext.max_value > rep_up.bound + slack:
                 violations.append(
@@ -174,7 +181,7 @@ def scan_one(D, config, weil):
                     f"exceeds bound {rep_up.bound!r} at N={N_up}"
                 )
             if target == "s":
-                rep_lo = _selected_bound(config, zeros, target, n, "lower", mode, weil)
+                rep_lo = selected_bound(config, zeros, target, n, "lower", mode)
                 if ext.min_value < rep_lo.bound - slack:
                     violations.append(
                         f"D={D} target={tag} mode={mode}: empirical min {ext.min_value!r} "
@@ -182,7 +189,7 @@ def scan_one(D, config, weil):
                     )
                 if n == 0:
                     for point, value in ((ext.argmax, ext.max_value), (ext.argmin, ext.min_value)):
-                        up, lo = s0_bound_interval_method(zeros, q, point, N_up, mode)
+                        up, lo = bound_oracle.s0_bound_interval_method(zeros, q, point, N_up, mode)
                         if value > up + slack or value < lo - slack:
                             violations.append(
                                 f"D={D} target={tag} mode={mode}: interval-method bound "
@@ -218,9 +225,9 @@ def scan_one(D, config, weil):
 
 def scan(moduli, config):
     """(rows, violations) of the per-modulus scan over moduli, in order."""
-    rows, violations, weil = [], [], {}
+    rows, violations = [], []
     for D in moduli:
-        r, v = scan_one(D, config, weil)
+        r, v = scan_one(D, config)
         rows.extend(r)
         violations.extend(v)
     return rows, violations

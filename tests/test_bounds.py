@@ -12,9 +12,9 @@ from hyperell.bounds import (
     SCAN_BLOCK,
     SCAN_TARGETS,
     ScanConfig,
+    _block_reports,
+    _bound_layer,
     _chunk_spans,
-    _max_degree,
-    _selected_bound,
     _tail_weights,
     block_extrema,
     choose_degree,
@@ -31,13 +31,13 @@ from hyperell.charsum import Character
 from hyperell.cli import rows_to_csv
 from hyperell.errors import CertificationError
 from hyperell.fqpoly import FieldSpec, enumerate_Hd
-from hyperell.lfunc import compute_lpolynomial, find_zero_angles
+from hyperell.lfunc import ZeroAngles, compute_lpolynomial, find_zero_angles
 from hyperell.onesided import (
     TrigPoly,
-    _certify_interval,
-    _compose_interval,
+    _certify_intervals,
     _uniform_values,
     construct_one_sided,
+    interval_poly_block,
     interval_polys,
 )
 
@@ -226,25 +226,50 @@ def bound_ensembles():
 def test_degree_selection_matches_oracle(bound_ensembles, policy):
     # N_used and every report field equal the oracle that evaluates the
     # full bound once per candidate degree, for the public functions and
-    # for the scan's path (prefix weights, weil memo shared across moduli)
+    # for the scan's block layer (one table per chunk, blocks of SCAN_BLOCK
+    # and a partial last block, weil reports shared across blocks)
     for d, zero_sets in bound_ensembles:
         config = ScanConfig(q=3, d=d, policy=policy)
-        top = _max_degree(config)
-        weil_memo: dict = {}
-        for zeros in zero_sets:
-            for mode in ("weil", "exact"):
-                weights = _tail_weights(3, top, mode, zeros)
-                for tag in SCAN_TARGETS:
-                    target, n = parse_target(tag)
-                    for side in ("upper",) if target == "logmod" else ("upper", "lower"):
-                        N = bound_oracle.choose_degree(policy, 3, d, target, n, side, mode, zeros)
-                        want = bound_oracle.rigorous_bound(zeros, 3, target, n, side, N, mode)
-                        assert choose_degree(policy, 3, d, target, n, side, mode, zeros) == N
-                        assert rigorous_bound(zeros, 3, target, n, side, N, mode) == want
-                        got = _selected_bound(
-                            config, zeros, target, n, side, mode, weil_memo, weights
-                        )
-                        assert got == want
+        layer = _bound_layer(config)
+        for start in range(0, len(zero_sets), SCAN_BLOCK):
+            block = zero_sets[start : start + SCAN_BLOCK]
+            _, reports = _block_reports(block, config, layer)
+            for b, zeros in enumerate(block):
+                for mode in ("weil", "exact"):
+                    for tag in SCAN_TARGETS:
+                        target, n = parse_target(tag)
+                        for side in ("upper",) if target == "logmod" else ("upper", "lower"):
+                            N = bound_oracle.choose_degree(policy, 3, d, target, n, side, mode, zeros)
+                            want = bound_oracle.rigorous_bound(zeros, 3, target, n, side, N, mode)
+                            assert reports[mode, (target, n, side)][b] == want
+                            if start == 0:
+                                assert choose_degree(policy, 3, d, target, n, side, mode, zeros) == N
+                                assert rigorous_bound(zeros, 3, target, n, side, N, mode) == want
+
+
+def test_exact_weights_match_power_sums(bound_ensembles):
+    # the block's power sums, one zero-major matrix summed by column_sums,
+    # equal the per-modulus np.sum over each zero set bit for bit
+    for _, zero_sets in bound_ensembles:
+        for start in range(0, len(zero_sets), SCAN_BLOCK):
+            block = zero_sets[start : start + SCAN_BLOCK]
+            got = _tail_weights(3, 12, "exact", block)
+            for zeros, row in zip(block, got):
+                want = bound_oracle.tail_weights(zeros, 3, 12, "exact")
+                assert row.tolist() == want.tolist()
+
+
+def test_s0_interval_bounds_match_oracle(bound_ensembles):
+    # the public block of one and the scan's block path, which composes and
+    # certifies every distinct (t, N) of a block together, against the
+    # scalar route point by point; points past 1/2 use odd symmetry
+    rng = random.Random(3)
+    for d, zero_sets in bound_ensembles:
+        for zeros in zero_sets[:12]:
+            for theta in (0.0, 0.5, 0.25, 0.75, rng.random(), rng.random()):
+                for N, mode in ((0, "weil"), (3, "exact"), (8, "weil")):
+                    want = bound_oracle.s0_bound_interval_method(zeros, 3, theta, N, mode)
+                    assert s0_bound_interval_method(zeros, 3, theta, N, mode) == want
 
 
 def _outcome(certify, *args):
@@ -267,7 +292,8 @@ def test_interval_certification_matches_oracle(N):
     seen = set()
     for t in [0.0, 0.25, 0.5, 1 / 4096, 1 / 3, 0.1, 0.49999, *(rng.uniform(0, 0.5) for _ in range(5))]:
         alpha, beta = -t, t
-        minor, major = _compose_interval(saw_lo, alpha, beta), _compose_interval(saw_hi, alpha, beta)
+        minor = bound_oracle.compose_interval(saw_lo, alpha, beta)
+        major = bound_oracle.compose_interval(saw_hi, alpha, beta)
         assert interval_polys(alpha, beta, N) == (minor, major)
         worst_minor, worst_major = bound_oracle.interval_margins(minor, major, alpha, beta)
         cases = [(minor, major)]
@@ -275,11 +301,40 @@ def test_interval_certification_matches_oracle(N):
             cases.append((minor.shifted(shift), major))
         for shift in (1e-10, -worst_major + 2e-11, -worst_major - 2e-11):
             cases.append((minor, major.shifted(-shift)))
+        outcomes = []
         for lower, upper in cases:
             want = _outcome(bound_oracle.certify_interval, lower, upper, alpha, beta)
-            assert _outcome(_certify_interval, lower, upper, alpha, beta) == want
-            seen.add(want)
+            assert _outcome(_certify_one, lower, upper, alpha, beta) == want
+            outcomes.append(want)
+        # certified together, the cases raise exactly when one of them does
+        lowers, uppers = zip(*cases)
+        ends = np.full(len(cases), alpha), np.full(len(cases), beta)
+        together = _outcome(_certify_intervals, list(lowers), list(uppers), *ends)
+        assert together == ("raises" if "raises" in outcomes else "passes")
+        seen.update(outcomes)
     assert seen == {"passes", "raises"}
+
+
+def _certify_one(minor, major, alpha, beta):
+    _certify_intervals([minor], [major], np.array([alpha]), np.array([beta]))
+
+
+def _bits(poly):
+    return [float.hex(float(x)) for x in poly.cos + poly.sin]
+
+
+@pytest.mark.parametrize("N", [*range(9), 12])
+def test_interval_block_composes_as_scalar_arithmetic(N):
+    # every coefficient of every interval composed in one block has the bits
+    # of the scalar complex arithmetic, signed zeros included
+    saw_lo = construct_one_sided("sawtooth", "minorant", N).poly
+    saw_hi = construct_one_sided("sawtooth", "majorant", N).poly
+    rng = random.Random(100 + N)
+    ts = [0.0, -0.0, 0.5, 0.25, 1 / 3, 1 / 4096, *(rng.uniform(0, 0.5) for _ in range(40))]
+    intervals = [(-t, t) for t in ts] + [(0.3, 0.55), (0.1, 0.9), (0.0, 1.0), (0.7, 1.2), (0.2, 0.2)]
+    for (alpha, beta), (minor, major) in zip(intervals, interval_poly_block(intervals, N)):
+        assert _bits(minor) == _bits(bound_oracle.compose_interval(saw_lo, alpha, beta))
+        assert _bits(major) == _bits(bound_oracle.compose_interval(saw_hi, alpha, beta))
 
 
 @pytest.mark.parametrize("N", [0, 1, 5, 31, 32, 33, 100])
@@ -293,7 +348,8 @@ def test_uniform_values_match_direct_evaluation(N):
         for _ in range(2)
     ]
     ang = 2 * np.pi * (np.outer(np.arange(64), np.arange(1, N + 1)) % 64) / 64
-    for got, poly in zip(_uniform_values(*polys, 64), polys):
+    for got, poly in zip(_uniform_values(polys[:1], polys[1:], 64), polys):
+        got = got[0]
         want = poly.mean + np.cos(ang) @ np.array(poly.cos[1:]) + np.sin(ang) @ np.array(poly.sin)
         assert np.max(np.abs(got - want)) < 1e-13
 
@@ -405,6 +461,44 @@ def test_single_target_extrema_match_oracle(ensembles):
             assert empirical_extrema(zeros, target, n, 2**12) == (
                 extrema_oracle.empirical_extrema(zeros, target, n, 2**12)
             )
+
+
+def _s0_zero_sets(grid_size):
+    """Zero sets for the arc-end S_0 extrema: zeros at 0 and 1/2, zeros on
+    grid points and one ulp off them, repeated and near-repeated zeros,
+    and conjugate-symmetric random sets, 2g = 6 each."""
+    rng = random.Random(grid_size)
+    on = [k / grid_size for k in (1, 7, grid_size // 3, grid_size // 2 - 1)]
+    sets = [
+        (0.0, 0.0, 0.25, 0.5, 0.5, 0.75),
+        (0.0, 0.0, 0.0, 0.0, 0.5, 0.5),
+        (0.0, 0.5, on[0], on[1], 1.0 - on[1], 1.0 - on[0]),
+        (0.0, on[2], on[3], 0.5, 1.0 - on[3], 1.0 - on[2]),
+        (np.nextafter(on[1], 1.0), np.nextafter(on[1], 0.0), on[1], 0.5, 0.5, 0.9),
+        (0.1, 0.1, np.nextafter(0.1, 1.0), 0.9, 0.9, np.nextafter(0.9, 0.0)),
+        (1.0 - 2.0**-52, 2.0**-52, 0.5, 0.5, 0.5, 0.5),
+    ]
+    for _ in range(40):
+        half = sorted(rng.uniform(0.0, 0.5) for _ in range(3))
+        sets.append(tuple(sorted(half + [1.0 - t for t in half])))
+    return [ZeroAngles(tuple(sorted(map(float, z))), 0.0) for z in sets]
+
+
+@pytest.mark.parametrize("grid_size", [2**10, 3000, 2**14])
+def test_s0_arc_end_extrema_match_full_grid(grid_size):
+    # S_0 evaluated only at the arc ends, ascending, then the jump limits:
+    # the same values and arguments as the full grid, one set at a time and
+    # as one block with the other targets
+    zero_sets = _s0_zero_sets(grid_size)
+    want = [extrema_oracle.empirical_extrema(zeros, "s", 0, grid_size) for zeros in zero_sets]
+    assert [block_extrema([z], [("s", 0)], grid_size)[0][0] for z in zero_sets] == want
+    both = block_extrema(zero_sets, [("s", 1), ("s", 0)], grid_size)
+    assert [row[1] for row in both] == want
+    # no zeros: S_0 vanishes everywhere and the first grid point is both extrema
+    empty = ZeroAngles((), 0.0)
+    assert block_extrema([empty], [("s", 0)], grid_size)[0][0] == (
+        extrema_oracle.empirical_extrema(empty, "s", 0, grid_size)
+    )
 
 
 def test_block_extrema_validation(ensembles):

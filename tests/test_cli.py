@@ -230,6 +230,17 @@ def test_extremal_log2sin(tmp_path):
     assert float(rows[0]["cos"]) == pytest.approx(cert["achieved_mean"])
 
 
+def test_extremal_log2sin_minorant():
+    # the minorant lives on a truncated domain: no classical bounds and no
+    # Bernoulli decay constant apply, and the report says so with nulls
+    proc = run_cli("extremal", "--target", "log2sin", "--side", "minorant", "--N", "4")
+    assert proc.returncode == 0, proc.stderr
+    cert = json.loads(proc.stdout)
+    check = cert["coefficient_check"]
+    assert check["classical_bounds_ok"] is None and check["fitted_constant"] is None
+    assert (check["target"], check["side"], check["N"]) == ("log2sin", "minorant", 4)
+
+
 def test_extremal_bernoulli_minorant():
     # order 1 bounds the index-2 Bernoulli function: oracle m_2/(N+1)^2
     proc = run_cli("extremal", "--target", "bernoulli:1", "--side", "minorant", "--N", "8")

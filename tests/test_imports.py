@@ -1,6 +1,10 @@
-"""Every name a library module imports is referenced in that module."""
+"""Every name a library module imports is referenced in that module, and
+importing the package stays light."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,18 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scan_loads_neither_process_pools_nor_masked_arrays():
+    # the fork pool's executor and numpy.ma cost tens of ms of every cold
+    # start; a one-modulus scan (which certifies constructions) needs neither
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys, hyperell\n"
+        "hyperell.ensemble_scan(hyperell.ScanConfig(q=3, d=5, sample='random:1'))\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'numpy.ma') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -3,14 +3,17 @@ import random
 
 import numpy as np
 import pytest
+import zeros_oracle
 from charsum_oracle import direct_coefficients
 
 from hyperell.charsum import Character
 from hyperell.errors import ConsistencyError
+from hyperell.bounds import SCAN_BLOCK
 from hyperell.fqpoly import FieldSpec, Poly, enumerate_Hd
 from hyperell.lfunc import (
     LPolynomial,
     ZeroAngles,
+    block_zero_angles,
     compute_lpolynomial,
     find_zero_angles,
     power_sum,
@@ -226,3 +229,58 @@ def test_grid_factor_validation():
     L = compute_lpolynomial(Character(Poly.make(F3, (1, 2, 0, 1))))
     with pytest.raises(ValueError):
         find_zero_angles(L, grid_factor=8)
+
+
+# --- block zero finder against the scalar oracle ---------------------------------
+
+# the moduli of F_3 H_7 whose L-polynomial has a repeated factor
+REPEATED_H7 = (
+    (1, 2, 1, 1, 0, 0, 0, 1),
+    (2, 2, 2, 1, 0, 0, 0, 1),
+    (0, 2, 1, 0, 2, 0, 1, 1),
+    (2, 1, 2, 0, 2, 0, 1, 1),
+    (1, 1, 1, 0, 1, 0, 2, 1),
+    (0, 2, 2, 0, 1, 0, 2, 1),
+)
+
+
+def _zero_ensembles():
+    h7 = random.Random(707).sample(list(enumerate_Hd(F3, 7)), 200)
+    h9 = random.Random(909).sample(list(enumerate_Hd(F3, 9)), 40)
+    repeated = [Poly.make(F3, c) for c in REPEATED_H7]
+    return {
+        "F3 H5": list(enumerate_Hd(F3, 5)),
+        "F5 H5": list(enumerate_Hd(F5, 5)),
+        "F3 H7 repeated": repeated,
+        "F3 H7": h7,
+        "F3 H9": h9,
+    }
+
+
+@pytest.mark.parametrize("name", ["F3 H5", "F5 H5", "F3 H7 repeated", "F3 H7", "F3 H9"])
+def test_block_zero_finder_matches_scalar_oracle(name):
+    # angles and residuals equal the one-bracket-at-a-time finder exactly,
+    # in blocks of SCAN_BLOCK (a partial last one included) and alone
+    from hyperell.lfunc import squarefree_part
+
+    Ls = [compute_lpolynomial(Character(D)) for D in _zero_ensembles()[name]]
+    repeated = sum(len(squarefree_part(L.c)) < len(L.c) for L in Ls)
+    assert repeated == {"F5 H5": 16, "F3 H7 repeated": 6, "F3 H9": 1}.get(name, 0)
+    got = []
+    for start in range(0, len(Ls), SCAN_BLOCK):
+        got.extend(block_zero_angles(Ls[start : start + SCAN_BLOCK]))
+    for L, zeros in zip(Ls, got):
+        want = zeros_oracle.find_zero_angles(L)
+        assert (zeros.theta, zeros.residual) == (want.theta, want.residual)
+    for L, zeros in zip(Ls[:: max(1, len(Ls) // 20)], got[:: max(1, len(Ls) // 20)]):
+        assert find_zero_angles(L) == zeros
+
+
+def test_block_zero_finder_validation():
+    L5 = compute_lpolynomial(Character(Poly.make(F3, (1, 2, 0, 0, 0, 1))))
+    L3 = compute_lpolynomial(Character(Poly.make(F3, (1, 2, 0, 1))))
+    assert block_zero_angles([]) == []
+    with pytest.raises(ValueError):
+        block_zero_angles([L5, L3])
+    with pytest.raises(ValueError):
+        block_zero_angles([L5], grid_factor=8)

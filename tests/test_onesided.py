@@ -102,6 +102,27 @@ def test_constructions_match_scalar_certification(monkeypatch, solver_only):
     assert build_all() == batched
 
 
+def test_sorted_unique_matches_numpy(monkeypatch, solver_only):
+    # the certification grids and the cutting-plane grids of cold
+    # constructions deduplicate as np.unique does, bit for bit
+    original = onesided._sorted_unique
+    sizes = []
+
+    def checked(a):
+        got = original(a)
+        assert got.tobytes() == np.unique(a).tobytes()
+        sizes.append(len(a))
+        return got
+
+    monkeypatch.setattr(onesided, "_sorted_unique", checked)
+    for target, side, N in (("log2sin", "majorant", 4), ("bernoulli:1", "majorant", 3)):
+        construct_one_sided(target, side, N)
+    assert len(sizes) >= 6
+    rng = np.random.default_rng(5)
+    for a in (np.array([]), np.array([0.5]), np.full(7, 0.25), rng.integers(0, 9, 50) / 8.0):
+        assert checked(a).tobytes() == np.unique(a).tobytes()
+
+
 # --- stored constructions -------------------------------------------------------
 
 
