@@ -552,11 +552,9 @@ def sample_moduli(config: ScanConfig) -> list[Poly]:
 class _BoundLayer(NamedTuple):
     """What a scan chunk's bound layer shares across its blocks."""
 
-    top: int  # the largest candidate degree: weights run w_1..w_top
-    keys: list[tuple]  # every (target, n, side) the scan checks
-    degrees: dict  # key -> the candidate degrees of the policy
+    degrees: dict  # (target, n, side) -> the candidate degrees of the policy
     fourier: dict  # key -> {N: (W-hat(0), |W-hat(k)| for k = 1..N)}
-    weil_weights: np.ndarray  # one row, shared by every modulus
+    weil_weights: np.ndarray  # w_1..w_top for the largest candidate degree top
     weil: dict  # key -> weil-mode report: it depends on the zeros only via 2g
 
 
@@ -578,7 +576,7 @@ def _bound_layer(config: ScanConfig) -> _BoundLayer:
         key: _select_bounds((d - 1) // 2, q, key, "weil", degrees[key], fourier[key], weil_weights)[0]
         for key in keys
     }
-    return _BoundLayer(top, keys, degrees, fourier, weil_weights, weil)
+    return _BoundLayer(degrees, fourier, weil_weights, weil)
 
 
 def _block_reports(zero_sets: list[ZeroAngles], config: ScanConfig, layer: _BoundLayer):
@@ -587,12 +585,13 @@ def _block_reports(zero_sets: list[ZeroAngles], config: ScanConfig, layer: _Boun
     the policy's degree per (mode, key), one per zero set.  Exact mode
     selects each key's degree for the whole block at once."""
     g = zero_sets[0].count // 2
+    top = layer.weil_weights.shape[1]
     weights = {
-        "weil": np.broadcast_to(layer.weil_weights, (len(zero_sets), layer.top)),
-        "exact": _tail_weights(config.q, layer.top, "exact", zero_sets),
+        "weil": np.broadcast_to(layer.weil_weights, (len(zero_sets), top)),
+        "exact": _tail_weights(config.q, top, "exact", zero_sets),
     }
-    reports = {("weil", key): [layer.weil[key]] * len(zero_sets) for key in layer.keys}
-    for key in layer.keys:
+    reports = {("weil", key): [layer.weil[key]] * len(zero_sets) for key in layer.degrees}
+    for key in layer.degrees:
         reports["exact", key] = _select_bounds(
             g, config.q, key, "exact", layer.degrees[key], layer.fourier[key], weights["exact"]
         )

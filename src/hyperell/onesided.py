@@ -652,7 +652,9 @@ def _certify_intervals(
     ind_cluster = _indicator(a, b, cluster)
     worst_minor = np.min(ind_cluster - at_cluster(minors), axis=1)
     worst_major = np.max(ind_cluster - at_cluster(majors), axis=1)
-    # the grid in passes of a few intervals, whose arrays stay small
+    # the grid in passes of a few intervals: timed on F_3 H_7 scan blocks
+    # (9 intervals per degree on average, up to 30), passes of 4 or 8 beat
+    # one pass by about a quarter, and passes of 1 are slower than either
     for i in range(0, len(minors), _INTERVAL_ROWS):
         rows = slice(i, i + _INTERVAL_ROWS)
         ind = _indicator(a[rows], b[rows], _INTERVAL_GRID)

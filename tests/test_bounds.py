@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import bound_oracle
 import extrema_oracle
@@ -242,9 +243,8 @@ def test_degree_selection_matches_oracle(bound_ensembles, policy):
                             N = bound_oracle.choose_degree(policy, 3, d, target, n, side, mode, zeros)
                             want = bound_oracle.rigorous_bound(zeros, 3, target, n, side, N, mode)
                             assert reports[mode, (target, n, side)][b] == want
-                            if start == 0:
-                                assert choose_degree(policy, 3, d, target, n, side, mode, zeros) == N
-                                assert rigorous_bound(zeros, 3, target, n, side, N, mode) == want
+                            assert choose_degree(policy, 3, d, target, n, side, mode, zeros) == N
+                            assert rigorous_bound(zeros, 3, target, n, side, N, mode) == want
 
 
 def test_exact_weights_match_power_sums(bound_ensembles):
@@ -270,6 +270,69 @@ def test_s0_interval_bounds_match_oracle(bound_ensembles):
                 for N, mode in ((0, "weil"), (3, "exact"), (8, "weil")):
                     want = bound_oracle.s0_bound_interval_method(zeros, 3, theta, N, mode)
                     assert s0_bound_interval_method(zeros, 3, theta, N, mode) == want
+
+
+def test_s0_interval_block_matches_oracle(bound_ensembles):
+    # many points at once, as the scan asks: mixed degrees interleaved,
+    # repeated t (within a zero set, across zero sets, and t against 1 - t),
+    # points on both sides of 1/2, weil (broadcast) and exact weight rows
+    rng = random.Random(5)
+    weil = _tail_weights(3, 12, "weil")
+    for d, zero_sets in bound_ensembles:
+        g = (d - 1) // 2
+        for start in (0, SCAN_BLOCK):
+            block = zero_sets[start : start + SCAN_BLOCK]
+            exact = _tail_weights(3, 12, "exact", block)
+            shared = rng.random()
+            cases = []
+            for b, zeros in enumerate(block):
+                x = rng.random()
+                for theta in (0.0, 0.5, 0.25, 0.75, x, 1.0 - x, x, shared, zeros.theta[1]):
+                    N = rng.choice([0, 1, 3, 3, 8, 12])
+                    mode = rng.choice(["weil", "exact"])
+                    cases.append((zeros, theta, N, mode, weil[0] if mode == "weil" else exact[b]))
+            rng.shuffle(cases)
+            got = bounds._s0_interval_bounds(
+                g, [c[1] for c in cases], [c[2] for c in cases], np.stack([c[4] for c in cases])
+            )
+            assert len(got) == len(cases)
+            for (zeros, theta, N, mode, _), bound in zip(cases, got):
+                assert bound == bound_oracle.s0_bound_interval_method(zeros, 3, theta, N, mode)
+
+
+_INTERVAL_MISS = re.compile(
+    r"D=(.*) target=s:0 mode=(\w+): interval-method bound \((.*), (.*)\) misses S_0\((.*)\) = (.*)"
+)
+
+
+def _float(text):
+    return float(text.removeprefix("np.float64(").removesuffix(")"))
+
+
+@pytest.mark.parametrize("policy", ["exhaustive", "fixed:3"])
+def test_scan_interval_bounds_match_oracle(policy):
+    # every interval bound the scan checks, in the order it checks them:
+    # a slack of -inf turns each check into a violation that carries the
+    # bound, which must equal the oracle's at the oracle's degree, at the
+    # argmax then the argmin of S_0, weil then exact, for every modulus
+    # (F_3 H_5: ten full blocks and a partial one)
+    config = ScanConfig(q=3, d=5, targets=("s:0", "s:1"), policy=policy, soundness_slack=-math.inf)
+    found = [_INTERVAL_MISS.fullmatch(v) for v in ensemble_scan(config).violations]
+    found = [m.groups() for m in found if m]
+    moduli = sample_moduli(config)
+    assert len(found) == 4 * len(moduli)
+    checks = iter(found)
+    for D in moduli:
+        zeros = find_zero_angles(compute_lpolynomial(Character(D)))
+        ext = empirical_extrema(zeros, "s", 0)
+        for mode in ("weil", "exact"):
+            N = bound_oracle.choose_degree(policy, 3, 5, "s", 0, "upper", mode, zeros)
+            for point, value in ((ext.argmax, ext.max_value), (ext.argmin, ext.min_value)):
+                got_D, got_mode, lo, up, got_point, got_value = next(checks)
+                assert (got_D, got_mode) == (str(D), mode)
+                assert (_float(got_point), _float(got_value)) == (point, value)
+                want = bound_oracle.s0_bound_interval_method(zeros, 3, point, N, mode)
+                assert (_float(up), _float(lo)) == want
 
 
 def _outcome(certify, *args):
