@@ -3,12 +3,13 @@
 
 The file holds every one-sided polynomial the default scan's warm-up builds
 (SCAN_TARGETS at n_cap = 8: the log2sin majorant and bernoulli:1..3 on
-both sides, N = 0..8), with its LP provenance.  construct_one_sided serves
-these keys from the file, re-certifying each one, instead of re-solving
-them in every process.  The stored file is hidden while the solver runs, so
-every entry is a fresh solve.  Rerun this after any change to the
-construction (grids, LP, certification or repair); the tier-1 test
-test_stored_constructions_match_solver fails until the file matches.
+both sides, N = 0..8), with its LP provenance.  block_one_sided (and so
+construct_one_sided) serves these keys from the file, re-certifying them,
+instead of re-solving them in every process.  The stored file is hidden
+while the solver runs, so every entry is a fresh solve.  Rerun this after
+any change to the construction (grids, LP, certification or repair); the
+tier-1 test test_stored_constructions_match_solver fails until the file
+matches.
 
 Example:
     python scripts/make_onesided_constructions.py

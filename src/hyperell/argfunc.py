@@ -175,13 +175,16 @@ def jump_limits(zeros: ZeroAngles, table: BernoulliTable | None = None):
 
     Returns (angles, left, right): S_0 jumps up by the multiplicity when
     theta crosses a zero, and the value at the angle itself is the
-    half-limit, so left = S_0 - m/2 and right = S_0 + m/2.
+    half-limit, so left = S_0 - m/2 and right = S_0 + m/2.  The zeros of
+    one merged cluster (zero_multiplicities) are taken as coincident at
+    its angle, so S_0 there is the half-limit of the whole cluster, not of
+    its first zero with the others' terms still before their jumps.
     """
     distinct = zero_multiplicities(zeros)
-    angles = np.array([t for t, _ in distinct])
-    mults = np.array([m for _, m in distinct], dtype=float)
-    centers = argument_sum(zeros, 0, angles, table)
-    centers = np.atleast_1d(centers)
+    angles = np.array([t for t, _ in distinct], dtype=float)
+    mults = np.array([m for _, m in distinct], dtype=int)
+    coincident = np.repeat(angles, mults)
+    centers = zero_sums(fractional_parts(angles, coincident), 0, table)
     return angles, centers - mults / 2.0, centers + mults / 2.0
 
 

@@ -32,7 +32,7 @@ from .charsum import Character
 from .errors import ConsistencyError
 from .fqpoly import FieldSpec, Poly, enumerate_Hd
 from .lfunc import ZeroAngles, block_zero_angles, compute_lpolynomial
-from .onesided import construct_one_sided, interval_poly_block
+from .onesided import block_one_sided, construct_one_sided, interval_poly_block
 
 TWO_PI = 2.0 * math.pi
 
@@ -691,19 +691,20 @@ def _scan_chunk(args):
 
 
 def _warm_construction_cache(config: ScanConfig):
-    """Build every one-sided polynomial a scan can ask for (forked workers
-    then inherit the cache instead of re-solving the LPs)."""
+    """Build every one-sided polynomial a scan can ask for, in one block
+    (forked workers then inherit the certified constructions instead of
+    certifying or solving them again).  The S_0 interval polynomials'
+    sawtooth pair is bernoulli:1, which order 0 already asks for."""
     cap = max(config.n_cap, degree_choice(config.q, config.d, 0))
     orders = sorted({parse_target(t)[1] for t in config.targets if t.startswith("s")})
+    keys = []
     for N in range(cap + 1):
         if "logmod" in config.targets:
-            construct_one_sided("log2sin", "majorant", N)
+            keys.append(("log2sin", "majorant", N))
         for n in orders:
-            construct_one_sided(f"bernoulli:{n + 1}", "minorant", N)
-            construct_one_sided(f"bernoulli:{n + 1}", "majorant", N)
-        if 0 in orders:
-            construct_one_sided("sawtooth", "majorant", N)
-            construct_one_sided("sawtooth", "minorant", N)
+            keys.append((f"bernoulli:{n + 1}", "minorant", N))
+            keys.append((f"bernoulli:{n + 1}", "majorant", N))
+    block_one_sided(keys)
 
 
 def resolve_threads(threads: int | None) -> int:

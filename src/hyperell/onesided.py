@@ -87,15 +87,6 @@ class TrigPoly:
             + (sin @ np.asarray(self.sin) if self.sin else 0.0)
         )
 
-    def derivative_at(self, theta):
-        cos, sin = trig_table(theta, self.degree)
-        k = np.arange(1, self.degree + 1)
-        vals = TWO_PI * (
-            -sin @ (k * np.asarray(self.cos[1:]))
-            + (cos @ (k * np.asarray(self.sin)) if self.sin else 0.0)
-        )
-        return float(vals) if vals.ndim == 0 else vals
-
     def fourier(self, k: int) -> complex:
         """V-hat(k) with the conjugate symmetry V-hat(-k) = conj V-hat(k)."""
         if abs(k) > self.degree:
@@ -125,12 +116,11 @@ class TrigPoly:
 
 
 class _Target:
-    def __init__(self, name, even, singular, value, derivative, table):
+    def __init__(self, name, even, singular, value, table):
         self.name = name
         self.even = even
         self.singular = singular  # jump or log-singularity at theta = 0
         self.value = value
-        self.derivative = derivative
         self.table = table
 
 
@@ -147,10 +137,7 @@ def target_spec(name: str, table: BernoulliTable | None = None) -> _Target:
             v = np.where(frac == 0.0, -np.inf, v)
             return float(v) if v.ndim == 0 else v
 
-        def derivative(x):
-            return math.pi / np.tan(math.pi * np.asarray(x, dtype=float))
-
-        return _Target("log2sin", True, True, value, derivative, table)
+        return _Target("log2sin", True, True, value, table)
     if name == "sawtooth":
         name = "bernoulli:1"
     if name.startswith("bernoulli:"):
@@ -161,12 +148,7 @@ def target_spec(name: str, table: BernoulliTable | None = None) -> _Target:
         def value(x, m=m):
             return table.periodic(m, x)
 
-        def derivative(x, m=m):
-            if m == 1:
-                return np.ones_like(np.asarray(x, dtype=float))
-            return m * table.periodic(m - 1, x)
-
-        return _Target(f"bernoulli:{m}", m % 2 == 0, m == 1, value, derivative, table)
+        return _Target(f"bernoulli:{m}", m % 2 == 0, m == 1, value, table)
     raise ValueError(f"unknown one-sided target {name!r}")
 
 
@@ -259,49 +241,53 @@ def _cluster_points(depth: int) -> np.ndarray:
     return np.concatenate([2.0**-j, 1.0 - 2.0**-j])
 
 
+def _void(spec: _Target, side, tvals: np.ndarray) -> np.ndarray:
+    """Where the one-sided constraint is void: the target is infinite, or
+    a log-sine minorant's target is at or below LOG_SINE_FLOOR.  side may
+    be one sign or an array of them, one per value."""
+    void = ~np.isfinite(tvals)
+    if spec.name == "log2sin":
+        void |= (tvals <= LOG_SINE_FLOOR) & (np.asarray(side) < 0)
+    return void
+
+
 def _constraint_values(spec: _Target, side: int, thetas: np.ndarray):
     """Keep only points where the one-sided constraint is meaningful."""
     vals = spec.value(thetas)
-    keep = np.isfinite(vals)
-    if spec.name == "log2sin" and side < 0:
-        keep &= vals > LOG_SINE_FLOOR
+    keep = ~_void(spec, side, vals)
     return thetas[keep], vals[keep]
 
 
-def _poly_rows(poly: TrigPoly, xs: np.ndarray) -> np.ndarray:
-    """poly at every point of xs, each value equal to poly(float(x)).
+def _poly_rows(a0: np.ndarray, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Polynomials of one degree N, one per point: a0[i] + coeffs[i, 0] .
+    (cos 2 pi k x) + coeffs[i, 1] . (sin 2 pi k x) at x = xs[i], each value
+    equal to that polynomial's poly(float(xs[i])).
 
-    One dot product per point (np.vecdot) sums in the same order as the
-    scalar evaluation's 1-D @ 1-D; a matrix-vector product would not.
+    One dot product per point (np.vecdot) of the point's own N
+    coefficients sums in the same order as the scalar evaluation's
+    1-D @ 1-D; a matrix-vector product, or coefficients padded to a
+    higher degree, would not.
     """
-    cos, sin = trig_table(xs, poly.degree)
-    vals = poly.cos[0] + np.vecdot(cos, np.asarray(poly.cos[1:]))
-    return vals + (np.vecdot(sin, np.asarray(poly.sin)) if poly.sin else 0.0)
-
-
-def _gap(poly: TrigPoly, spec: _Target, side: int, xs: np.ndarray) -> np.ndarray:
-    """side*(poly - target) at xs; +inf where the constraint is void."""
-    tv = spec.value(xs)
-    void = ~np.isfinite(tv)
-    if spec.name == "log2sin" and side < 0:
-        void |= tv <= LOG_SINE_FLOOR
-    return np.where(void, math.inf, side * (_poly_rows(poly, xs) - tv))
+    cos, sin = trig_table(xs, coeffs.shape[-1])
+    return a0 + np.vecdot(cos, coeffs[:, 0]) + np.vecdot(sin, coeffs[:, 1])
 
 
 def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 60):
     """Golden-section minima of f on every lane [lo[i], hi[i]] at once.
 
-    f maps an array of points to their values.  Each lane takes exactly
-    the steps of a scalar search and stops after the step that brings its
-    bracket below 1e-14; the result is the least (value, point) pair of
-    the two inner points and the two ends, in tuple order.
+    f(lanes, x) maps the points x of the given lane ids to their values.
+    Each lane takes exactly the steps of a scalar search and stops after
+    the step that brings its bracket below 1e-14; the result is the least
+    (value, point) pair of the two inner points and the two ends, in tuple
+    order.
     """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo.copy(), hi.copy()
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    live = np.arange(len(lo))
+    every = np.arange(len(lo))
+    live = every
+    fc, fd = f(every, c), f(every, d)
     for _ in range(iters):
         if not len(live):
             break
@@ -311,49 +297,104 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 60):
         c[lt] = b[lt] - phi * (b[lt] - a[lt])
         a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
         d[rt] = a[rt] + phi * (b[rt] - a[rt])
-        fresh = f(np.where(left, c[live], d[live]))
+        fresh = f(live, np.where(left, c[live], d[live]))
         fc[lt], fd[rt] = fresh[left], fresh[~left]
         live = live[~(b[live] - a[live] < 1e-14)]
     best, at = fc, c
-    for val, x in ((fd, d), (f(lo), lo), (f(hi), hi)):
+    for val, x in ((fd, d), (f(every, lo), lo), (f(every, hi), hi)):
         take = (val < best) | ((val == best) & (x < at))
         best, at = np.where(take, val, best), np.where(take, x, at)
     return best, at
 
 
-def _certify(poly: TrigPoly, spec: _Target, side: int, base_grid: int):
-    """Minimum of side*(poly - target) over the circle, with refinement.
+def _certify_block(items: list[tuple[TrigPoly, _Target, int, int]]):
+    """(margin, worst, minima) for each (poly, spec, side, base_grid) item:
+    the minimum of side*(poly - target) over the circle, with refinement.
 
     Scans a grid ten times finer than the construction grid plus deeper
-    cluster points, then polishes the local minima of the gap by
-    golden-section between their grid neighbors, all searches at once.
-    Near the singular point the cluster points approach geometrically and
-    the target is monotone past the deepest one, so the scan is conclusive
-    there.
-    """
-    fine = np.arange(10 * base_grid) / float(10 * base_grid)
-    pts = _sorted_unique(np.concatenate([fine, _cluster_points(_CERT_CLUSTER_DEPTH)]))
-    pts, tvals = _constraint_values(spec, side, pts)
-    h = side * (poly(pts) - tvals)
+    cluster points, then polishes the 24 lowest local minima of the gap
+    (plenty: at most ~N+1 touch regions) by golden-section between their
+    grid neighbors.  Near the singular point the cluster points approach
+    geometrically and the target is monotone past the deepest one, so the
+    scan is conclusive there.
 
-    order = np.argsort(h)
-    margin = float(h[order[0]])
-    worst = float(pts[order[0]])
-    local = np.flatnonzero(
-        (h <= np.roll(h, 1)) & (h <= np.roll(h, -1))
-    )
-    # polish the 24 lowest local minima (plenty: at most ~N+1 touch regions)
-    ranked = local[np.argsort(h[local])][:24]
-    step = 1.0 / (10 * base_grid)
-    last = len(pts) - 1
-    lo = np.where(ranked > 0, pts[np.maximum(ranked - 1, 0)], pts[ranked] - step)
-    hi = np.where(ranked < last, pts[np.minimum(ranked + 1, last)], pts[ranked] + step)
-    vals, xs = _golden_min(lambda x: _gap(poly, spec, side, x), lo, hi)
-    minima = [(float(x), float(val)) for x, val in zip(xs, vals)]
-    for x, val in minima:
-        if val < margin:
-            margin, worst = val, x
-    return margin, worst, minima
+    Items of one base grid share its points, and items of one degree on
+    it their trig table too, taken degree by degree.  The polishes of
+    every item then run as lanes of one search: each lane's polynomial
+    takes one dot product of its own degree per point, as its scalar
+    evaluation does (padding to a common degree could round otherwise),
+    so every result is that of the item certified alone.
+    """
+    if not items:
+        return []
+    by_grid: dict[int, dict[int, list[int]]] = {}
+    for i, (poly, _, _, base_grid) in enumerate(items):
+        by_grid.setdefault(base_grid, {}).setdefault(poly.degree, []).append(i)
+    heads = [None] * len(items)  # (grid margin, its point, polish brackets lo, hi)
+    for base_grid, by_degree in by_grid.items():
+        fine = np.arange(10 * base_grid) / float(10 * base_grid)
+        grid = _sorted_unique(np.concatenate([fine, _cluster_points(_CERT_CLUSTER_DEPTH)]))
+        step = 1.0 / (10 * base_grid)
+        for N, members in by_degree.items():
+            table = trig_table(grid, N)
+            for i in members:
+                poly, spec, side, _ = items[i]
+                tvals = spec.value(grid)
+                keep = ~_void(spec, side, tvals)
+                cos, sin = table if keep.all() else (table[0][keep], table[1][keep])
+                pts = grid[keep]
+                h = side * (poly.from_table(cos, sin) - tvals[keep])
+                order = np.argsort(h)
+                local = np.flatnonzero((h <= np.roll(h, 1)) & (h <= np.roll(h, -1)))
+                ranked = local[np.argsort(h[local])][:24]
+                last = len(pts) - 1
+                lo = np.where(ranked > 0, pts[np.maximum(ranked - 1, 0)], pts[ranked] - step)
+                hi = np.where(ranked < last, pts[np.minimum(ranked + 1, last)], pts[ranked] + step)
+                heads[i] = (float(h[order[0]]), float(pts[order[0]]), lo, hi)
+            del table, cos, sin
+
+    counts = [len(head[2]) for head in heads]
+    owner = np.repeat(np.arange(len(items)), counts)
+    lane_degree = np.array([poly.degree for poly, *_ in items])[owner]
+    lane_a0 = np.array([poly.cos[0] for poly, *_ in items])[owner]
+    coeffs = np.zeros((len(items), 2, max(lane_degree, default=0)))
+    for row, (poly, *_) in zip(coeffs, items):
+        row[0, : poly.degree] = poly.cos[1:]
+        row[1, : poly.degree] = poly.sin
+    lane_coeffs = coeffs[owner]
+    specs: dict[_Target, int] = {}
+    lane_spec = np.array([specs.setdefault(spec, len(specs)) for _, spec, _, _ in items])[owner]
+    lane_side = np.array([float(side) for _, _, side, _ in items])[owner]
+    degrees = sorted({poly.degree for poly, *_ in items})
+
+    def gap(lanes, x):
+        """side*(poly - target) of each lane's item at x; +inf where void."""
+        side = lane_side[lanes]
+        tvals = np.empty(len(lanes))
+        void = np.empty(len(lanes), dtype=bool)
+        for spec, k in specs.items():
+            sel = lane_spec[lanes] == k
+            tvals[sel] = spec.value(x[sel])
+            void[sel] = _void(spec, side[sel], tvals[sel])
+        vals = np.empty(len(lanes))
+        for N in degrees:
+            sel = lane_degree[lanes] == N
+            if sel.any():
+                at = lanes[sel]
+                vals[sel] = _poly_rows(lane_a0[at], lane_coeffs[at, :, :N], x[sel])
+        return np.where(void, math.inf, side * (vals - tvals))
+
+    lo, hi = (np.concatenate([head[j] for head in heads]) for j in (2, 3))
+    cuts = np.cumsum(counts)[:-1]
+    polished = (np.split(v, cuts) for v in _golden_min(gap, lo, hi))
+    out = []
+    for (margin, worst, _, _), vals, xs in zip(heads, *polished):
+        minima = [(float(x), float(val)) for x, val in zip(xs, vals)]
+        for x, val in minima:
+            if val < margin:
+                margin, worst = val, x
+        out.append((margin, worst, minima))
+    return out
 
 
 def _solve_round(spec: _Target, side: int, N: int, thetas: np.ndarray):
@@ -381,13 +422,13 @@ def _repair(poly: TrigPoly, spec: _Target, sgn: int, grid_points: int, margin, w
         step = -margin * (1.0 + 1e-9) + 1e-15
         poly = poly.shifted(sgn * step)
         repair += step
-        margin, worst, _ = _certify(poly, spec, sgn, grid_points)
+        margin, worst, _ = _certify_block([(poly, spec, sgn, grid_points)])[0]
     return poly, margin, worst, repair
 
 
 _CACHE_LOCK = threading.Lock()
 _CACHE: dict[tuple, OneSidedResult] = {}
-# the default scan's constructions as solved by the loop below (written by
+# the default scan's constructions as solved by _solve (written by
 # scripts/make_onesided_constructions.py), read on the first cache miss
 _STORE_FILE = Path(__file__).with_name("onesided_constructions.json")
 _STORE: dict[tuple, dict] | None = None
@@ -407,21 +448,9 @@ def _stored_entry(key: tuple) -> dict | None:
         return _STORE.get(key)
 
 
-def construct_one_sided(
-    target: str,
-    side: str,
-    N: int,
-    grid_points: int | None = None,
-    table: BernoulliTable | None = None,
-) -> OneSidedResult:
-    """Extremal-mean one-sided trigonometric polynomial of degree N.
-
-    side is "majorant" (minimal mean above the target) or "minorant"
-    (maximal mean below it).  Results are cached per (target, side, N,
-    grid); construction is pure, so concurrent callers share the cache.
-    Keys in the stored file take its polynomial instead of solving; it is
-    certified and repaired like a solved one.
-    """
+def _cache_key(target: str, side: str, N: int, grid_points: int | None = None) -> tuple:
+    """(target, side, N, grid_points) with sawtooth read as bernoulli:1 and
+    the default grid 40(N+1) filled in; raises ValueError on a bad request."""
     if side not in ("majorant", "minorant"):
         raise ValueError(f"side must be majorant or minorant, got {side!r}")
     if N < 0:
@@ -433,61 +462,48 @@ def construct_one_sided(
         grid_points = base
     if grid_points < base:
         raise ValueError(f"grid_points must be at least 40(N+1) = {base}")
-    key = (target, side, N, grid_points)
-    with _CACHE_LOCK:
-        hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
+    return (target, side, N, grid_points)
 
-    tbl = table or default_table()
-    spec = target_spec(target, tbl)
+
+def _finish(key, spec, poly, certified, lp_mean, rounds, constraints, repair=0.0) -> OneSidedResult:
+    """Repair and cache poly, whose certification gave certified = (margin,
+    worst), or raise CertificationError."""
+    target, side, N, grid_points = key
     sgn = 1 if side == "majorant" else -1
-
-    def finish(poly, lp_mean, rounds, constraints, repair=0.0, certified=None):
-        """Certify (unless certified holds poly's (margin, worst)), repair
-        and cache poly, or raise CertificationError."""
-        margin, worst = certified or _certify(poly, spec, sgn, grid_points)[:2]
-        poly, margin, worst, shift = _repair(poly, spec, sgn, grid_points, margin, worst)
-        if margin < -_CERT_TOL:
-            raise CertificationError(
-                f"{target} {side} N={N}: margin {margin:.3e} at theta={worst:.12f} "
-                "after repair"
-            )
-        result = OneSidedResult(
-            poly=poly,
-            target=spec.name,
-            side=side,
-            achieved_mean=poly.mean,
-            oracle_mean=oracle_mean(target, side, N, tbl),
-            lp_mean=lp_mean,
-            certified_margin=margin,
-            repair_epsilon=repair + shift,
-            rounds=rounds,
-            constraints=constraints,
+    poly, margin, worst, shift = _repair(poly, spec, sgn, grid_points, *certified)
+    if margin < -_CERT_TOL:
+        raise CertificationError(
+            f"{target} {side} N={N}: margin {margin:.3e} at theta={worst:.12f} after repair"
         )
-        with _CACHE_LOCK:
-            _CACHE.setdefault(key, result)
-        return result
+    result = OneSidedResult(
+        poly=poly,
+        target=spec.name,
+        side=side,
+        achieved_mean=poly.mean,
+        oracle_mean=oracle_mean(target, side, N, spec.table),
+        lp_mean=lp_mean,
+        certified_margin=margin,
+        repair_epsilon=repair + shift,
+        rounds=rounds,
+        constraints=constraints,
+    )
+    with _CACHE_LOCK:
+        _CACHE.setdefault(key, result)
+    return result
 
-    stored = _stored_entry(key)
-    if stored is not None:
-        return finish(
-            TrigPoly(tuple(stored["cos"]), tuple(stored["sin"])),
-            stored["lp_mean"],
-            stored["rounds"],
-            stored["constraints"],
-            stored["repair_epsilon"],
-        )
 
+def _solve(key, spec) -> OneSidedResult:
+    """Construct and finish key's polynomial by the cutting-plane loop."""
+    target, side, N, grid_points = key
+    sgn = 1 if side == "majorant" else -1
     # an odd target flips under reflection, so its extremal minorant is the
     # reflected majorant -P(-theta); certification below stays independent
     odd_bernoulli = spec.name.startswith("bernoulli:") and int(spec.name.split(":")[1]) % 2
     if side == "minorant" and odd_bernoulli:
-        maj = construct_one_sided(target, "majorant", N, grid_points, table)
-        flipped = TrigPoly(
-            tuple(-a for a in maj.poly.cos), tuple(b for b in maj.poly.sin)
-        )
-        return finish(flipped, -maj.lp_mean, maj.rounds, maj.constraints)
+        maj = construct_one_sided(target, "majorant", N, grid_points, spec.table)
+        flipped = TrigPoly(tuple(-a for a in maj.poly.cos), tuple(b for b in maj.poly.sin))
+        certified = _certify_block([(flipped, spec, sgn, grid_points)])[0][:2]
+        return _finish(key, spec, flipped, certified, -maj.lp_mean, maj.rounds, maj.constraints)
 
     grid = np.arange(grid_points) / float(grid_points)
     if spec.singular:
@@ -504,7 +520,7 @@ def construct_one_sided(
             poly, used = _solve_round(spec, sgn, N, grid)
         except SolverError as exc:
             raise SolverError(f"{target} {side} N={N}: {exc}") from exc
-        margin, worst, minima = _certify(poly, spec, sgn, grid_points)
+        margin, worst, minima = _certify_block([(poly, spec, sgn, grid_points)])[0]
         if margin >= -_STOP_VIOLATION:
             break
         violation = -margin
@@ -520,7 +536,61 @@ def construct_one_sided(
             break
         grid = _sorted_unique(np.concatenate([grid, np.asarray(cuts)]))
     # the loop's last certification was of this very polynomial
-    return finish(poly, poly.mean, rounds, used, certified=(margin, worst))
+    return _finish(key, spec, poly, (margin, worst), poly.mean, rounds, used)
+
+
+def block_one_sided(keys: list[tuple], table: BernoulliTable | None = None) -> list[OneSidedResult]:
+    """The one-sided polynomial of each key (target, side, N[, grid_points]),
+    as construct_one_sided builds it, in key order.
+
+    Cached keys are served from the cache.  The stored file's keys are
+    certified together (_certify_block), then repaired and cached key by
+    key; the remaining keys are solved one at a time.
+    """
+    tbl = table or default_table()
+    keys = [_cache_key(*key) for key in keys]
+    with _CACHE_LOCK:
+        done = {key: _CACHE[key] for key in keys if key in _CACHE}
+    missing = [key for key in dict.fromkeys(keys) if key not in done]
+    specs = {target: target_spec(target, tbl) for target, *_ in missing}
+    stored = [(key, entry) for key in missing if (entry := _stored_entry(key)) is not None]
+    items = [
+        (
+            TrigPoly(tuple(entry["cos"]), tuple(entry["sin"])),
+            specs[key[0]],
+            1 if key[1] == "majorant" else -1,
+            key[3],
+        )
+        for key, entry in stored
+    ]
+    for (key, entry), item, (margin, worst, _) in zip(stored, items, _certify_block(items)):
+        done[key] = _finish(
+            key, item[1], item[0], (margin, worst),
+            entry["lp_mean"], entry["rounds"], entry["constraints"], entry["repair_epsilon"],
+        )
+    for key in missing:
+        if key not in done:
+            done[key] = _solve(key, specs[key[0]])
+    return [done[key] for key in keys]
+
+
+def construct_one_sided(
+    target: str,
+    side: str,
+    N: int,
+    grid_points: int | None = None,
+    table: BernoulliTable | None = None,
+) -> OneSidedResult:
+    """Extremal-mean one-sided trigonometric polynomial of degree N: a
+    block of one (block_one_sided).
+
+    side is "majorant" (minimal mean above the target) or "minorant"
+    (maximal mean below it).  Results are cached per (target, side, N,
+    grid); construction is pure, so concurrent callers share the cache.
+    Keys in the stored file take its polynomial instead of solving; it is
+    certified and repaired like a solved one.
+    """
+    return block_one_sided([(target, side, N, grid_points)], table)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,13 @@ def argument_sum(zeros, n, theta, table=None):
 
 
 def jump_limits(zeros):
-    """(angles, left, right): one-sided limits of S_0 at the distinct zero angles."""
+    """(angles, left, right): one-sided limits of S_0 at the distinct zero
+    angles, each merged cluster of zeros taken as coincident at its angle."""
     distinct = zero_multiplicities(zeros)
     angles = np.array([t for t, _ in distinct])
     mults = np.array([m for _, m in distinct], dtype=float)
-    centers = np.atleast_1d(argument_sum(zeros, 0, angles))
+    coincident = replace(zeros, theta=tuple(t for t, m in distinct for _ in range(m)))
+    centers = np.atleast_1d(argument_sum(coincident, 0, angles))
     return angles, centers - mults / 2.0, centers + mults / 2.0
 
 

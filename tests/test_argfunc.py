@@ -324,6 +324,32 @@ def test_jump_limits_match_one_sided_values(zeros_d5):
             assert argument_sum(zeros, 0, t + eps) == pytest.approx(hi, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "theta",
+    [
+        (0.1, np.nextafter(0.1, 1.0), 0.899, 0.9),
+        (0.1, np.nextafter(0.1, 1.0), np.nextafter(np.nextafter(0.1, 1.0), 1.0), 0.3, 0.7, 0.9),
+        (0.2, 0.2 + 5e-13, 0.25, 0.25, 0.75, 0.75, 0.8 - 5e-13, 0.8),
+        (0.0, 2.0**-60, 0.5 - 1e-13, 0.5),
+    ],
+)
+def test_jump_limits_of_near_coincident_zeros(theta):
+    # distinct zeros within 1e-12 merge into one jump of their multiplicity:
+    # the limits are S_0 just before the cluster's first zero and just past
+    # its last, up to 2g eps (S_0 has slope -2g) and 2g 1e-12 (each zero
+    # taken as sitting at its cluster's angle moves by at most 1e-12)
+    zeros = ZeroAngles(tuple(float(t) for t in theta), 0.0)
+    eps, g = 1e-9, len(theta) / 2
+    angles, left, right = jump_limits(zeros)
+    members = [[t for t in zeros.theta if 0.0 <= t - a <= 1e-12] for a in angles]
+    for lo, hi, cluster in zip(left, right, members):
+        assert abs(argument_sum(zeros, 0, cluster[0] - eps) - lo) <= 2 * g * (eps + 1e-12)
+        assert abs(argument_sum(zeros, 0, cluster[-1] + eps) - hi) <= 2 * g * (eps + 1e-12)
+    oracle = extrema_oracle.jump_limits(zeros)
+    for got, want in zip((angles, left, right), oracle):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 def test_mean_zero_all_orders(zeros_d5):
     for _, zeros in zeros_d5[:5]:
         for n in range(5):

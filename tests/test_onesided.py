@@ -7,7 +7,7 @@ from certify_oracle import certify as scalar_certify
 
 from hyperell import onesided
 from hyperell.bernoulli import bernoulli_extrema
-from hyperell.bounds import ScanConfig, _warm_construction_cache
+from hyperell.bounds import ScanConfig, _warm_construction_cache, ensemble_scan
 from hyperell.errors import CertificationError
 from hyperell.onesided import (
     LOG_SINE_FLOOR,
@@ -56,14 +56,26 @@ def test_trigpoly_serialization():
 
 @pytest.mark.parametrize("even", [True, False])
 def test_poly_rows_match_scalar_evaluation(even):
+    # one polynomial per point, each of the same degree, as the lanes of
+    # the certification's polish evaluate them
     rng = np.random.default_rng(808)
     for N in range(41):
-        cos = tuple(float(v) for v in rng.standard_normal(N + 1))
-        sin = (0.0,) * N if even else tuple(float(v) for v in rng.standard_normal(N))
-        poly = TrigPoly(cos, sin)
         xs = np.concatenate([rng.random(29), [0.0, 0.5, 1.0 - 2.0**-46]])
-        rows = onesided._poly_rows(poly, xs)
-        assert list(rows) == [poly(float(x)) for x in xs]
+        polys = [
+            TrigPoly(
+                tuple(float(v) for v in rng.standard_normal(N + 1)),
+                (0.0,) * N if even else tuple(float(v) for v in rng.standard_normal(N)),
+            )
+            for _ in xs
+        ]
+        a0 = np.array([p.cos[0] for p in polys])
+        coeffs = np.array([[p.cos[1:], p.sin] for p in polys]).reshape(len(xs), 2, N)
+        rows = onesided._poly_rows(a0, coeffs, xs)
+        assert list(rows) == [p(float(x)) for p, x in zip(polys, xs)]
+
+
+def certify_each(items):
+    return [scalar_certify(*item) for item in items]
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -71,12 +83,63 @@ def test_poly_rows_match_scalar_evaluation(even):
 def test_certify_matches_scalar_oracle(target, side):
     spec = target_spec(target)
     sgn = 1 if side == "majorant" else -1
+    items = []
     for N in range(5):
         poly = construct_one_sided(target, side, N).poly
         grid = 40 * (N + 1)
         # the certified polynomial, and one pushed across its target
         for p in (poly, poly.shifted(-sgn * 1e-3)):
-            assert onesided._certify(p, spec, sgn, grid) == scalar_certify(p, spec, sgn, grid)
+            items.append((p, spec, sgn, grid))
+            assert onesided._certify_block([items[-1]]) == certify_each([items[-1]])
+    assert onesided._certify_block(items) == certify_each(items)
+
+
+def stored_items():
+    specs = {}
+    return [
+        (
+            TrigPoly(tuple(entry["cos"]), tuple(entry["sin"])),
+            specs.setdefault(target, target_spec(target)),
+            1 if side == "majorant" else -1,
+            grid,
+        )
+        for (target, side, N, grid), entry in sorted(onesided._read_store().items())
+    ]
+
+
+def test_certify_block_matches_oracle_on_stored_entries():
+    items = stored_items()
+    assert len(items) == 63
+    assert onesided._certify_block(items) == certify_each(items)
+
+
+def test_certify_block_matches_oracle_on_mixed_blocks():
+    items = []
+    for target, side, N, grid in (
+        ("log2sin", "minorant", 4, None),  # the LOG_SINE_FLOOR branch
+        ("bernoulli:4", "majorant", 4, None),
+        ("bernoulli:4", "minorant", 2, 440),  # shares a grid with degree 10
+        ("log2sin", "majorant", 10, None),
+        ("bernoulli:2", "minorant", 10, None),
+        ("bernoulli:1", "majorant", 0, None),
+    ):
+        r = construct_one_sided(target, side, N, grid)
+        spec, sgn = target_spec(target), r.sign
+        grid = grid or 40 * (N + 1)
+        # certified, and shifted across the target (negative margins)
+        items.append((r.poly, spec, sgn, grid))
+        items.append((r.poly.shifted(-sgn * 1e-6), spec, sgn, grid))
+    # a degree-16 lane: padding the others to its degree would send their
+    # dot products down ddot's blocked path, which rounds otherwise
+    rng = np.random.default_rng(16)
+    wide = TrigPoly(tuple(rng.uniform(-0.1, 0.1, 17)), tuple(rng.uniform(-0.1, 0.1, 16)))
+    items.append((wide, target_spec("bernoulli:2"), 1, 40 * 17))
+    items = stored_items()[::9] + items
+    items.append(items[3])  # a duplicate
+    expected = certify_each(items)
+    assert any(margin < 0 for margin, _, _ in expected)
+    assert onesided._certify_block(items) == expected
+    assert onesided._certify_block(items[::-1]) == expected[::-1]
 
 
 @pytest.fixture
@@ -98,7 +161,7 @@ def test_constructions_match_scalar_certification(monkeypatch, solver_only):
         ]
 
     batched = build_all()
-    monkeypatch.setattr(onesided, "_certify", scalar_certify)
+    monkeypatch.setattr(onesided, "_certify_block", certify_each)
     assert build_all() == batched
 
 
@@ -151,6 +214,38 @@ def test_stored_constructions_match_solver(monkeypatch, solver_only):
         assert r.certified_margin >= 0.0
         assert r.repair_epsilon > entry["repair_epsilon"]
         assert r.achieved_mean != pushed["cos"][0]
+
+
+def test_block_matches_one_at_a_time(monkeypatch):
+    stored = sorted(onesided._read_store())
+    keys = stored + [
+        ("sawtooth", "majorant", 3),  # bernoulli:1 under its other name
+        ("log2sin", "minorant", 3),  # not stored: solved
+        ("bernoulli:1", "minorant", 2, 200),  # not stored: the reflected majorant
+        stored[5],  # a duplicate
+    ]
+    monkeypatch.setattr(onesided, "_CACHE", {})
+    block = onesided.block_one_sided(keys[::-1])[::-1]
+    for key, got in zip(keys, block):
+        monkeypatch.setattr(onesided, "_CACHE", {})
+        assert construct_one_sided(*key) == got
+    assert block[-1] is block[5]
+
+
+def test_default_scan_warm_up_solves_no_lp(monkeypatch):
+    # every key a default scan asks for is in the stored file; a key that
+    # missed it would bring back the LP warm-up of several seconds
+    def no_lp(*args):
+        raise AssertionError("a default scan solved an LP")
+
+    monkeypatch.setattr(onesided, "solve_inequality_lp", no_lp)
+    for q, d in ((3, 5), (3, 7), (3, 9), (5, 5)):
+        monkeypatch.setattr(onesided, "_CACHE", {})
+        _warm_construction_cache(ScanConfig(q=q, d=d))
+        assert set(onesided._CACHE) == set(onesided._read_store())
+    monkeypatch.setattr(onesided, "_CACHE", {})
+    result = ensemble_scan(ScanConfig(q=3, d=7, sample="random:3", seed=1))
+    assert len({row["D"] for row in result.rows}) == 3 and not result.violations
 
 
 # --- degree-zero closed forms --------------------------------------------------
