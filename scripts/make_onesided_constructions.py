@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Rewrite src/hyperell/onesided_constructions.json from the LP solver.
 
-The file holds every one-sided polynomial the default scan's warm-up builds
-(SCAN_TARGETS at n_cap = 8: the log2sin majorant and bernoulli:1..3 on
-both sides, N = 0..8), with its LP provenance.  block_one_sided (and so
-construct_one_sided) serves these keys from the file, re-certifying them,
-instead of re-solving them in every process.  The stored file is hidden
-while the solver runs, so every entry is a fresh solve.  Rerun this after
-any change to the construction (grids, LP, certification or repair); the
-tier-1 test test_stored_constructions_match_solver fails until the file
-matches.
+The file holds every one-sided polynomial the bound layer of a default F_3
+H_7 scan builds (SCAN_TARGETS under the exhaustive policy at n_cap = 8:
+the log2sin majorant and bernoulli:1..3 on both sides, N = 0..8), with its
+LP provenance.  block_one_sided (and so construct_one_sided) serves these
+keys from the file, re-certifying them, instead of re-solving them in
+every process.  The stored file is hidden while the solver runs, so every
+entry is a fresh solve.  Rerun this after any change to the construction
+(grids, LP, certification or repair); the tier-1 test
+test_stored_constructions_match_solver fails until the file matches.
 
 Example:
     python scripts/make_onesided_constructions.py
@@ -22,13 +22,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hyperell import onesided
-from hyperell.bounds import ScanConfig, _warm_construction_cache
+from hyperell.bounds import ScanConfig, _bound_layer
 
 
 def main():
     onesided._STORE = {}
     onesided._CACHE.clear()
-    _warm_construction_cache(ScanConfig(q=3, d=7))
+    _bound_layer(ScanConfig(q=3, d=7))
     entries = [
         {
             "target": target,

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +33,7 @@ from .charsum import Character
 from .errors import ConsistencyError
 from .fqpoly import FieldSpec, Poly, enumerate_Hd
 from .lfunc import ZeroAngles, block_zero_angles, compute_lpolynomial
-from .onesided import block_one_sided, construct_one_sided, interval_poly_block
+from .onesided import block_one_sided, interval_poly_block
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,7 +81,7 @@ def envelope(q: int, d: int, target: str, n: int | None, side: str) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One rigorous bound evaluation, optionally paired with an empirical value."""
+    """One rigorous bound evaluation."""
 
     target: str
     n: int | None
@@ -93,25 +94,32 @@ class BoundReport:
     main_term: float
     tail_term: float
     bound: float
-    empirical: float | None = None
-    empirical_arg: float | None = None
-    ratio_to_envelope: float | None = None
 
 
-def _one_sided_fourier(target: str, n: int | None, side: str, N: int):
-    """(W-hat(0), |W-hat(k)| for k=1..N) of a one-sided polynomial of G."""
-    if target == "logmod":
-        if side != "upper":
-            raise ValueError(
-                "the log-modulus has no finite lower envelope: it is -inf at zeros"
-            )
-        res = construct_one_sided("log2sin", "majorant", N)
-        return res.poly.mean, res.poly.abs_fourier()
-    # argument sums: G = -PB_(n+1)/(n+1)!, so sides swap against the target
-    fact = math.factorial(n + 1)
-    which = "minorant" if side == "upper" else "majorant"
-    res = construct_one_sided(f"bernoulli:{n + 1}", which, N)
-    return -res.poly.mean / fact, res.poly.abs_fourier() / fact
+def _one_sided_fourier(degrees: dict) -> dict:
+    """{key: {N: (W-hat(0), |W-hat(k)| for k = 1..N)}} of a one-sided
+    polynomial of G for every key (target, n, side) of degrees and each of
+    its degrees N, all constructed in one block (block_one_sided).
+
+    logmod takes the log-sine majorant.  The argument sums have
+    G = -PB_(n+1)/(n+1)!, so S_n takes the Bernoulli polynomial of the
+    other side, scaled by -1/(n+1)!."""
+    wanted = [(key, N) for key, Ns in degrees.items() for N in Ns]
+    if any(target == "logmod" and side != "upper" for target, _, side in degrees):
+        raise ValueError("the log-modulus has no finite lower envelope: it is -inf at zeros")
+    results = block_one_sided(
+        [
+            ("log2sin", "majorant", N)
+            if target == "logmod"
+            else (f"bernoulli:{n + 1}", "minorant" if side == "upper" else "majorant", N)
+            for (target, n, side), N in wanted
+        ]
+    )
+    out = {key: {} for key in degrees}
+    for ((target, n, side), N), res in zip(wanted, results):
+        scale = 1 if target == "logmod" else -math.factorial(n + 1)
+        out[target, n, side][N] = res.poly.mean / scale, res.poly.abs_fourier() / abs(scale)
+    return out
 
 
 def _tail_weights(q: int, N: int, mode: str, zero_sets: list[ZeroAngles] | None = None) -> np.ndarray:
@@ -196,7 +204,7 @@ def rigorous_bound(
     if weights is None:
         weights = _tail_weights(q, N, mode, [zeros])
     key = (target, n, side)
-    fourier = {N: _one_sided_fourier(*key, N)}
+    fourier = _one_sided_fourier({key: [N]})[key]
     return _select_bounds(zeros.count // 2, q, key, mode, [N], fourier, np.atleast_2d(weights))[0]
 
 
@@ -211,7 +219,10 @@ def _candidate_degrees(policy: str, q: int, d: int, n: int | None, n_cap: int):
     if policy == "formula":
         return [degree_choice(q, d, n or 0)]
     if policy.startswith("fixed:"):
-        return [int(policy.split(":", 1)[1])]
+        N = int(policy.split(":", 1)[1])
+        if N < 0:
+            raise ValueError(f"a fixed degree must be >= 0, got {N}")
+        return [N]
     if policy != "exhaustive":
         raise ValueError(f"unknown degree policy {policy!r}")
     return range(_degree_cap(q, d, n, n_cap) + 1)
@@ -242,7 +253,7 @@ def choose_degree(
     if weights is None:
         weights = _tail_weights(q, degrees[-1], mode, [zeros])
     key = (target, n, side)
-    fourier = {N: _one_sided_fourier(*key, N) for N in degrees}
+    fourier = _one_sided_fourier({key: degrees})[key]
     reports = _select_bounds(zeros.count // 2, q, key, mode, degrees, fourier, np.atleast_2d(weights))
     return reports[0].N_used
 
@@ -508,10 +519,13 @@ class ScanConfig:
             raise ValueError(f"scans need odd degree d >= 3, got {self.d}")
         for tag in self.targets:
             parse_target(tag)
+        _candidate_degrees(self.policy, self.q, self.d, None, self.n_cap)  # raises on a bad policy
         if self.mode not in ("weil", "exact"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.grid_size < 2**10:
             raise ValueError("grid_size must be >= 1024")
+        if self.sample.startswith("random:") and int(self.sample.split(":", 1)[1]) < 0:
+            raise ValueError(f"sample size must be >= 0, got {self.sample!r}")
 
 
 @dataclass
@@ -550,7 +564,7 @@ def sample_moduli(config: ScanConfig) -> list[Poly]:
 
 
 class _BoundLayer(NamedTuple):
-    """What a scan chunk's bound layer shares across its blocks."""
+    """What a scan's bound layer shares across its chunks and blocks."""
 
     degrees: dict  # (target, n, side) -> the candidate degrees of the policy
     fourier: dict  # key -> {N: (W-hat(0), |W-hat(k)| for k = 1..N)}
@@ -559,7 +573,13 @@ class _BoundLayer(NamedTuple):
 
 
 def _bound_layer(config: ScanConfig) -> _BoundLayer:
-    """The chunk's bound layer for moduli of degree config.d = 2g + 1."""
+    """The scan's bound layer for moduli of degree config.d = 2g + 1, built
+    once per scan before the pool forks.
+
+    It constructs every one-sided polynomial of its keys at their candidate
+    degrees in one block.  These include the S_0 interval checks' sawtooth
+    pair (bernoulli:1 on both sides at S_0's degrees), so the workers
+    inherit every construction certified."""
     q, d = config.q, config.d
     keys = list(
         dict.fromkeys(
@@ -569,7 +589,7 @@ def _bound_layer(config: ScanConfig) -> _BoundLayer:
         )
     )
     degrees = {key: _candidate_degrees(config.policy, q, d, key[1], config.n_cap) for key in keys}
-    fourier = {key: {N: _one_sided_fourier(*key, N) for N in degrees[key]} for key in keys}
+    fourier = _one_sided_fourier(degrees)
     top = max((max(degrees[key]) for key in keys), default=0)
     weil_weights = _tail_weights(q, top, "weil")
     weil = {
@@ -601,7 +621,7 @@ def _block_reports(zero_sets: list[ZeroAngles], config: ScanConfig, layer: _Boun
 def _scan_block(moduli, Ls, zero_sets, extrema, config: ScanConfig, layer: _BoundLayer):
     """Rows and soundness checks for a block of moduli of one degree, given
     their L-polynomials, zero angles and extrema (one list per modulus,
-    aligned with config.targets) and the chunk's bound layer
+    aligned with config.targets) and the scan's bound layer
     (_bound_layer); the S_0 interval checks of the whole block are
     composed and certified together."""
     q, d = config.q, config.d
@@ -620,7 +640,6 @@ def _scan_block(moduli, Ls, zero_sets, extrema, config: ScanConfig, layer: _Boun
     rows, violations = [], []
     for b, (D, L, exts) in enumerate(zip(moduli, Ls, extrema)):
         for tag, (target, n), ext in zip(config.targets, targets, exts):
-            reported = None
             for mode in ("weil", "exact"):
                 rep_up = reports[mode, (target, n, "upper")][b]
                 N_up = rep_up.N_used
@@ -644,43 +663,35 @@ def _scan_block(moduli, Ls, zero_sets, extrema, config: ScanConfig, layer: _Boun
                                     f"D={D} target={tag} mode={mode}: interval-method bound "
                                     f"({lo!r}, {up!r}) misses S_0({point!r}) = {value!r}"
                                 )
-                if mode == config.mode:
-                    env = envelope(q, d, target, n, "upper")
-                    reported = replace(
-                        rep_up,
-                        empirical=ext.max_value,
-                        empirical_arg=ext.argmax,
-                        ratio_to_envelope=ext.max_value / env,
-                    )
-            row = {
-                "q": q,
-                "d": d,
-                "D": str(D),
-                "c": list(L.c),
-                "target": target,
-                "n": n,
-                "N_used": reported.N_used,
-                "mode": reported.mode,
-                "main_term": reported.main_term,
-                "tail_term": reported.tail_term,
-                "rigorous_bound": reported.bound,
-                "empirical_max": reported.empirical,
-                "argmax": reported.empirical_arg,
-                "ratio": reported.ratio_to_envelope,
-            }
-            rows.append(row)
+            reported = reports[config.mode, (target, n, "upper")][b]
+            rows.append(
+                {
+                    "q": q,
+                    "d": d,
+                    "D": str(D),
+                    "c": list(L.c),
+                    "target": target,
+                    "n": n,
+                    "N_used": reported.N_used,
+                    "mode": reported.mode,
+                    "main_term": reported.main_term,
+                    "tail_term": reported.tail_term,
+                    "rigorous_bound": reported.bound,
+                    "empirical_max": ext.max_value,
+                    "argmax": ext.argmax,
+                    "ratio": ext.max_value / envelope(q, d, target, n, "upper"),
+                }
+            )
     return rows, violations
 
 
-def _scan_chunk(args):
-    q, d, encodings, config_kwargs = args
-    config = ScanConfig(**config_kwargs)
-    field = FieldSpec(q)
+def _scan_chunk(encodings: list[int], config: ScanConfig, layer: _BoundLayer):
+    """(rows, violations) of the moduli with these encodings, block by block."""
+    field = FieldSpec(config.q)
     targets = [parse_target(tag) for tag in config.targets]
-    layer = _bound_layer(config)
     rows, violations = [], []
     for start in range(0, len(encodings), SCAN_BLOCK):
-        moduli = [Poly.decode_monic(field, d, enc) for enc in encodings[start : start + SCAN_BLOCK]]
+        moduli = [Poly.decode_monic(field, config.d, enc) for enc in encodings[start : start + SCAN_BLOCK]]
         Ls = [compute_lpolynomial(Character(D)) for D in moduli]
         zero_sets = block_zero_angles(Ls)
         extrema = block_extrema(zero_sets, targets, config.grid_size)
@@ -688,23 +699,6 @@ def _scan_chunk(args):
         rows.extend(r)
         violations.extend(v)
     return rows, violations
-
-
-def _warm_construction_cache(config: ScanConfig):
-    """Build every one-sided polynomial a scan can ask for, in one block
-    (forked workers then inherit the certified constructions instead of
-    certifying or solving them again).  The S_0 interval polynomials'
-    sawtooth pair is bernoulli:1, which order 0 already asks for."""
-    cap = max(config.n_cap, degree_choice(config.q, config.d, 0))
-    orders = sorted({parse_target(t)[1] for t in config.targets if t.startswith("s")})
-    keys = []
-    for N in range(cap + 1):
-        if "logmod" in config.targets:
-            keys.append(("log2sin", "majorant", N))
-        for n in orders:
-            keys.append((f"bernoulli:{n + 1}", "minorant", N))
-            keys.append((f"bernoulli:{n + 1}", "majorant", N))
-    block_one_sided(keys)
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -738,41 +732,25 @@ def ensemble_scan(config: ScanConfig) -> ScanResult:
     whole blocks (_chunk_spans), and chunk results are concatenated in
     order, so reruns are byte-identical."""
     encodings = [D.monic_index() for D in sample_moduli(config)]
-    _warm_construction_cache(config)
+    layer = _bound_layer(config)
     workers = resolve_threads(config.threads)
-    kwargs = {
-        k: getattr(config, k)
-        for k in (
-            "q",
-            "d",
-            "targets",
-            "sample",
-            "seed",
-            "policy",
-            "mode",
-            "grid_size",
-            "n_cap",
-            "soundness_slack",
-        )
-    }
-    rows: list[dict] = []
-    violations: list[str] = []
     spans = _chunk_spans(len(encodings), workers)
     if len(spans) <= 1:
-        rows, violations = _scan_chunk((config.q, config.d, encodings, kwargs))
+        rows, violations = _scan_chunk(encodings, config, layer)
     else:
-        chunks = [(config.q, config.d, encodings[a:b], kwargs) for a, b in spans]
+        chunks = [encodings[a:b] for a, b in spans]
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
+        rows, violations = [], []
         try:
             ctx = mp.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                for r, v in pool.map(_scan_chunk, chunks):
+                for r, v in pool.map(_scan_chunk, chunks, repeat(config), repeat(layer)):
                     rows.extend(r)
                     violations.extend(v)
         except (ImportError, OSError, ValueError):
-            rows, violations = _scan_chunk((config.q, config.d, encodings, kwargs))
+            rows, violations = _scan_chunk(encodings, config, layer)
     aggregates = _aggregate(rows, config)
     return ScanResult(config, rows, violations, aggregates)
 

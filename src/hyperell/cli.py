@@ -21,7 +21,6 @@ import io
 import json
 import subprocess
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .bernoulli import (
@@ -29,12 +28,12 @@ from .bernoulli import (
     bernoulli_extrema,
     zeta_envelope_constants,
 )
-from .bounds import SCAN_TARGETS, ScanConfig, ensemble_scan
+from .bounds import ScanConfig, ensemble_scan
 from .charsum import Character
 from .errors import CertificationError, ConsistencyError, ResourceLimitError, SolverError
 from .fqpoly import FieldSpec, is_squarefree, parse_poly
 from .lfunc import compute_lpolynomial, find_zero_angles, rh_radius_error
-from .onesided import construct_one_sided, interval_polys
+from .onesided import _CERT_TOL, construct_one_sided, interval_polys
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -67,61 +66,6 @@ def git_describe() -> str:
     except OSError:
         pass
     return "unknown"
-
-
-# ---------------------------------------------------------------------------
-# Run configuration (flat key=value file, mirroring the flags)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str = "scan"
-    q: int = 3
-    d: int = 5
-    targets: tuple[str, ...] = SCAN_TARGETS
-    sample: str = "all"
-    seed: int = 0
-    degree_policy: str = "exhaustive"
-    mode: str = "weil"
-    grid: int = 2**14
-    out: str = ""
-    slack: float = 1e-9
-
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "targets":
-                value = ",".join(value)
-            elif isinstance(value, float):
-                value = repr(value)
-            lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        known = {f.name: f for f in fields(cls)}
-        kwargs = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            key, value = key.strip(), value.strip()
-            if key not in known:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            if key == "targets":
-                kwargs[key] = tuple(t for t in value.split(",") if t)
-            elif known[key].type in ("int", int):
-                kwargs[key] = int(value)
-            elif known[key].type in ("float", float):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +146,9 @@ def rows_to_csv(rows: list[dict], d: int) -> str:
 
 
 def cmd_scan(args) -> int:
-    cfg = args_to_scan_config(args)
+    cfg, out = scan_request(args)
     result = ensemble_scan(cfg)
     text = rows_to_csv(result.rows, cfg.d)
-    out = args.out or "scan.csv"
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     manifest = {
@@ -219,14 +162,14 @@ def cmd_scan(args) -> int:
         "mode": cfg.mode,
         "tolerances": {
             "soundness_slack": cfg.soundness_slack,
-            "certification_margin": 1e-12,
+            "certification_margin": _CERT_TOL,
         },
         "git_describe": git_describe(),
         "rows": len(result.rows),
         "aggregates": result.aggregates,
         "violations": result.violations,
     }
-    manifest_path = out.rsplit(".", 1)[0] + ".manifest.json"
+    manifest_path = str(Path(out).with_suffix(".manifest.json"))
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -238,24 +181,50 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def args_to_scan_config(args) -> ScanConfig:
-    base = RunConfig()
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = RunConfig.from_text(fh.read())
-    merged = {
-        "q": args.q if args.q is not None else base.q,
-        "d": args.d if args.d is not None else base.d,
-        "targets": tuple(args.target) if args.target else base.targets,
-        "sample": args.sample if args.sample is not None else base.sample,
-        "seed": args.seed if args.seed is not None else base.seed,
-        "policy": args.degree_policy if args.degree_policy is not None else base.degree_policy,
-        "mode": args.mode if args.mode is not None else base.mode,
-        "grid_size": args.grid if args.grid is not None else base.grid,
-        "soundness_slack": args.slack if args.slack is not None else base.slack,
-    }
-    args.out = args.out or base.out or "scan.csv"
-    return ScanConfig(**merged)
+# scan flag (argparse dest, and config-file key) -> (ScanConfig field, value
+# of the file's text); out is the command's own
+_SCAN_KEYS = {
+    "q": ("q", int),
+    "d": ("d", int),
+    "targets": ("targets", lambda text: tuple(t for t in text.split(",") if t)),
+    "sample": ("sample", str),
+    "seed": ("seed", int),
+    "degree_policy": ("policy", str),
+    "mode": ("mode", str),
+    "grid": ("grid_size", int),
+    "slack": ("soundness_slack", float),
+    "out": (None, str),
+}
+
+
+def _read_config(path: str) -> dict:
+    """The flags a flat key=value config file sets ('#' starts a comment)."""
+    values = {}
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _SCAN_KEYS:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        values[key] = _SCAN_KEYS[key][1](value)
+    return values
+
+
+def scan_request(args) -> tuple[ScanConfig, str]:
+    """The scan's config and CSV path: each flag given wins over its
+    --config file key, and the rest take ScanConfig's defaults (with q = 3
+    and d = 5) and scan.csv."""
+    values = {"q": 3, "d": 5}
+    if args.config:
+        values.update(_read_config(args.config))
+    for key in _SCAN_KEYS:
+        if getattr(args, key) is not None:
+            values[key] = tuple(args.targets) if key == "targets" else getattr(args, key)
+    out = values.pop("out", None) or "scan.csv"
+    return ScanConfig(**{_SCAN_KEYS[key][0]: value for key, value in values.items()}), out
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--target",
         action="append",
+        dest="targets",
         default=None,
         help="repeatable: logmod or s:n (default logmod, s:0, s:1, s:2)",
     )

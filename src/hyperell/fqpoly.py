@@ -248,9 +248,6 @@ class Poly:
         self._check(other)
         return Poly(self.field, _mod(self.coeffs, other.coeffs, self.q))
 
-    def derivative(self) -> "Poly":
-        return Poly(self.field, _derivative(self.coeffs, self.q))
-
     def gcd(self, other: "Poly") -> "Poly":
         self._check(other)
         return Poly(self.field, _gcd(self.coeffs, other.coeffs, self.q))

@@ -198,13 +198,7 @@ def scan_one(D, config):
                                 f"({lo!r}, {up!r}) misses S_0({point!r}) = {value!r}"
                             )
             if mode == config.mode:
-                env = envelope(q, d, target, n, "upper")
-                reported = replace(
-                    rep_up,
-                    empirical=ext.max_value,
-                    empirical_arg=ext.argmax,
-                    ratio_to_envelope=ext.max_value / env,
-                )
+                reported = rep_up
         row = {
             "q": q,
             "d": d,
@@ -217,9 +211,9 @@ def scan_one(D, config):
             "main_term": reported.main_term,
             "tail_term": reported.tail_term,
             "rigorous_bound": reported.bound,
-            "empirical_max": reported.empirical,
-            "argmax": reported.empirical_arg,
-            "ratio": reported.ratio_to_envelope,
+            "empirical_max": ext.max_value,
+            "argmax": ext.argmax,
+            "ratio": ext.max_value / envelope(q, d, target, n, "upper"),
         }
         rows.append(row)
     return rows, violations

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import re
 
@@ -7,7 +8,7 @@ import extrema_oracle
 import numpy as np
 import pytest
 
-from hyperell import bounds
+from hyperell import bounds, onesided
 from hyperell.argfunc import argument_sum, log_modulus
 from hyperell.bounds import (
     SCAN_BLOCK,
@@ -598,6 +599,11 @@ def test_scan_config_validation():
         ScanConfig(q=3, d=5, targets=("t:1",))
     with pytest.raises(ValueError):
         ScanConfig(q=3, d=5, mode="sharp")
+    with pytest.raises(ValueError):
+        ScanConfig(q=3, d=5, sample="random:-3")
+    for policy in ("bogus", "fixed:x", "fixed:-1"):
+        with pytest.raises(ValueError):
+            ScanConfig(q=3, d=11, policy=policy)
 
 
 def test_scan_rows_and_soundness():
@@ -649,6 +655,42 @@ def test_scan_rows_identical_at_one_two_three_workers(mode):
     rows, violations = extrema_oracle.scan(sample_moduli(results[0].config), results[0].config)
     assert results[0].rows == rows
     assert all(r.violations == violations for r in results)
+
+
+def test_scan_workers_construct_nothing(monkeypatch):
+    # the bound layer is built once, before the pool forks: a degree that no
+    # stored construction covers is solved in the scanning process only,
+    # and the workers inherit it with the interval checks' sawtooth pair
+    scanner = os.getpid()
+    solve = onesided.solve_inequality_lp
+
+    def scanner_only(*args):
+        if os.getpid() != scanner:
+            raise AssertionError("a scan worker solved an LP")
+        return solve(*args)
+
+    monkeypatch.setattr(onesided, "solve_inequality_lp", scanner_only)
+    monkeypatch.setattr(onesided, "_CACHE", {})
+    config = ScanConfig(q=3, d=5, sample="random:40", seed=17, policy="fixed:11", threads=2)
+    assert len(_chunk_spans(40, 2)) > 1
+    result = ensemble_scan(config)
+    assert {row["N_used"] for row in result.rows} == {11}
+    assert len(result.rows) == 40 * len(SCAN_TARGETS) and not result.violations
+
+
+def test_scan_constructs_only_the_layer_keys(monkeypatch):
+    # the formula picks one degree per order (N = 2 for every order at q = 5,
+    # d = 5) and the scan certifies those constructions, no others
+    assert {degree_choice(5, 5, n) for n in (0, 1, 2)} == {2}
+    monkeypatch.setattr(onesided, "_CACHE", {})
+    ensemble_scan(ScanConfig(q=5, d=5, sample="random:3", seed=1, policy="formula"))
+    want = {("log2sin", "majorant", 2, 120)}
+    want |= {(f"bernoulli:{m}", side, 2, 120) for m in (1, 2, 3) for side in ("majorant", "minorant")}
+    assert set(onesided._CACHE) == want
+
+    monkeypatch.setattr(onesided, "_CACHE", {})
+    ensemble_scan(ScanConfig(q=3, d=5, targets=("s:1",), sample="random:3", policy="fixed:3"))
+    assert set(onesided._CACHE) == {("bernoulli:2", side, 3, 160) for side in ("majorant", "minorant")}
 
 
 def test_scan_deterministic_across_runs_and_threads():

@@ -7,7 +7,7 @@ import pytest
 from conftest import SRC, run_cli
 
 from hyperell import cli
-from hyperell.cli import RunConfig, rows_to_csv
+from hyperell.cli import rows_to_csv
 from hyperell.errors import SolverError
 
 
@@ -139,18 +139,82 @@ def test_scan_histogram_of_maxima_ulps_apart(tmp_path):
     assert sum(manifest["aggregates"]["s:0"]["histogram"]["counts"]) == 2
 
 
+# every scan flag as a config-file line, and as the flag itself
+SCAN_SETTINGS = (
+    ("q", "--q", "3"),
+    ("d", "--d", "5"),
+    ("sample", "--sample", "random:6"),
+    ("seed", "--seed", "13"),
+    ("degree_policy", "--degree-policy", "fixed:3"),
+    ("mode", "--mode", "exact"),
+    ("grid", "--grid", "2048"),
+    ("slack", "--slack", "2e-09"),
+)
+
+
+def scan_bytes(tmp_path, name, *args):
+    """(CSV, manifest) bytes of an in-process scan writing tmp_path/name.csv."""
+    assert cli.main(["scan", *args, "--out", str(tmp_path / f"{name}.csv")]) == 0
+    return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}.manifest.json").read_bytes()
+
+
 def test_scan_config_file(tmp_path):
-    cfg = RunConfig(
-        q=3, d=5, targets=("s:0",), sample="random:6", seed=13, grid=1024,
-        out=str(tmp_path / "from_config.csv"),
+    # a config file with every key gives the bytes of the same flags; an
+    # explicit flag wins over its key, and --target replaces the file's list
+    lines = [f"{key} = {value}" for key, _, value in SCAN_SETTINGS]
+    lines += ["# targets as one comma-separated list", "targets=logmod,s:1", ""]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines + [f"out={tmp_path / 'from_config.csv'}", ""]))
+    assert cli.main(["scan", "--config", str(cfg)]) == 0
+    from_file = (
+        (tmp_path / "from_config.csv").read_bytes(),
+        (tmp_path / "from_config.manifest.json").read_bytes(),
     )
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(cfg.to_text())
-    proc = run_cli("scan", "--config", str(cfg_path))
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "from_config.csv").exists()
-    rows = list(csv.DictReader((tmp_path / "from_config.csv").open()))
-    assert len(rows) == 6
+    flags = [arg for _, flag, value in SCAN_SETTINGS for arg in (flag, value)]
+    assert from_file == scan_bytes(tmp_path, "flags", *flags, "--target", "logmod", "--target", "s:1")
+    assert len(from_file[0].decode().splitlines()) == 1 + 6 * 2
+
+    picked = ["--seed", "14", "--target", "s:0"]
+    overridden = scan_bytes(tmp_path, "overridden", "--config", str(cfg), *picked)
+    assert overridden == scan_bytes(tmp_path, "picked", *flags, *picked)
+    assert json.loads(overridden[1])["seed"] == 14
+    assert json.loads(overridden[1])["targets"] == ["s:0"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["unknown_key=1\n", "q 3\n", "command=scan\n", "seed=thirteen\n"],
+    ids=["unknown-key", "no-equals", "dropped-command-key", "bad-int"],
+)
+def test_scan_config_file_errors_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q=3\n" + text)
+    assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_scan_manifest_path_replaces_the_suffix(tmp_path):
+    # only the file name's suffix gives way: a dot in a directory name stays
+    (tmp_path / "run.v2").mkdir()
+    args = ["--q", "3", "--d", "3", "--target", "s:0", "--sample", "random:1", "--grid", "1024"]
+    for out, manifest in (
+        ("run.v2/scan", "run.v2/scan.manifest.json"),
+        ("run.v2/scan.csv", "run.v2/scan.manifest.json"),
+        ("a.b.csv", "a.b.manifest.json"),
+    ):
+        (tmp_path / "run.v2" / "scan.manifest.json").unlink(missing_ok=True)
+        assert cli.main(["scan", *args, "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / manifest).exists()
+    assert not (tmp_path / "run.manifest.json").exists()
+
+
+def test_scan_rejects_negative_sample_size(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert cli.main(["scan", "--q", "3", "--d", "5", "--sample", "random:-3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_scan_over_budget_exits_2(tmp_path):
@@ -199,17 +263,6 @@ def test_scan_records_package_describe(tmp_path):
 def test_scan_rejects_even_degree():
     proc = run_cli("scan", "--q", "3", "--d", "4", "--sample", "random:2")
     assert proc.returncode == 2
-
-
-def test_runconfig_roundtrip():
-    cfg = RunConfig(q=5, d=7, targets=("logmod", "s:1"), sample="random:50", seed=99,
-                    degree_policy="fixed:3", mode="exact", grid=2048, out="x.csv",
-                    slack=2e-9)
-    assert RunConfig.from_text(cfg.to_text()) == cfg
-    with pytest.raises(ValueError):
-        RunConfig.from_text("unknown_key=1\n")
-    with pytest.raises(ValueError):
-        RunConfig.from_text("q 3\n")
 
 
 # --- extremal -----------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Every name a library module imports is referenced in that module, and
-importing the package stays light."""
+"""Every name a library module imports is referenced in that module, every
+script imports, and importing the package stays light."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
-    p for p in (Path(__file__).resolve().parent.parent / "src" / "hyperell").glob("*.py")
+    p for p in (ROOT / "src" / "hyperell").glob("*.py")
     if p.name != "__init__.py"  # the package namespace re-exports by design
 )
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,10 +42,20 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(path):
+    # a script reaching for a library name that was renamed or removed
+    # fails here, not only when someone next runs it
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
+
+
 def test_scan_loads_neither_process_pools_nor_masked_arrays():
     # the fork pool's executor and numpy.ma cost tens of ms of every cold
     # start; a one-modulus scan (which certifies constructions) needs neither
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(ROOT / "src")
     code = (
         "import sys, hyperell\n"
         "hyperell.ensemble_scan(hyperell.ScanConfig(q=3, d=5, sample='random:1'))\n"

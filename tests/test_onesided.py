@@ -7,7 +7,7 @@ from certify_oracle import certify as scalar_certify
 
 from hyperell import onesided
 from hyperell.bernoulli import bernoulli_extrema
-from hyperell.bounds import ScanConfig, _warm_construction_cache, ensemble_scan
+from hyperell.bounds import ScanConfig, _bound_layer, ensemble_scan
 from hyperell.errors import CertificationError
 from hyperell.onesided import (
     LOG_SINE_FLOOR,
@@ -190,7 +190,7 @@ def test_sorted_unique_matches_numpy(monkeypatch, solver_only):
 
 
 def test_stored_constructions_match_solver(monkeypatch, solver_only):
-    _warm_construction_cache(ScanConfig(q=3, d=7))
+    _bound_layer(ScanConfig(q=3, d=7))
     solved = dict(onesided._CACHE)
     store = onesided._read_store()
     assert len(solved) == 63
@@ -241,7 +241,7 @@ def test_default_scan_warm_up_solves_no_lp(monkeypatch):
     monkeypatch.setattr(onesided, "solve_inequality_lp", no_lp)
     for q, d in ((3, 5), (3, 7), (3, 9), (5, 5)):
         monkeypatch.setattr(onesided, "_CACHE", {})
-        _warm_construction_cache(ScanConfig(q=q, d=d))
+        _bound_layer(ScanConfig(q=q, d=d))
         assert set(onesided._CACHE) == set(onesided._read_store())
     monkeypatch.setattr(onesided, "_CACHE", {})
     result = ensemble_scan(ScanConfig(q=3, d=7, sample="random:3", seed=1))
