@@ -1,143 +1,98 @@
-"""Quadratic character L-polynomials over F_q[x] and certified critical-circle bounds."""
+"""Quadratic character L-polynomials over F_q[x] and certified critical-circle bounds.
 
-from .argfunc import (
-    SnEvaluator,
-    antiderivative_constant,
-    argument_sum,
-    count_zeros,
-    jump_limits,
-    log_modulus,
-    mean_value,
-    zero_multiplicities,
-)
-from .bernoulli import (
-    BernoulliTable,
-    bernoulli_envelope_constants,
-    bernoulli_extrema,
-    periodic_bernoulli,
-    zeta,
-    zeta_envelope_constants,
-)
-from .bounds import (
-    BoundReport,
-    EmpiricalExtrema,
-    ScanConfig,
-    ScanResult,
-    block_extrema,
-    choose_degree,
-    degree_choice,
-    empirical_extrema,
-    ensemble_scan,
-    envelope,
-    rigorous_bound,
-    s0_bound_interval_method,
-    sample_moduli,
-)
-from .charsum import Character, lambda_sum, residue_symbol
-from .errors import (
-    CertificationError,
-    ConsistencyError,
-    FieldMismatchError,
-    ResourceLimitError,
-    RootIsolationError,
-    SolverError,
-    UnsupportedDegreeError,
-)
-from .fqpoly import (
-    FieldSpec,
-    Poly,
-    PrimeTable,
-    build_prime_table,
-    enumerate_Hd,
-    format_poly,
-    get_prime_table,
-    is_squarefree,
-    necklace_count,
-    parse_poly,
-    poly_divmod,
-    poly_mul,
-)
-from .lfunc import (
-    CosineSeries,
-    LPolynomial,
-    ZeroAngles,
-    compute_lpolynomial,
-    find_zero_angles,
-    power_sum,
-    unitarize,
-)
-from .onesided import (
-    CoefficientReport,
-    OneSidedResult,
-    TrigPoly,
-    construct_one_sided,
-    interval_polys,
-    oracle_mean,
-    verify_coefficient_bounds,
-)
+The public names load lazily: the first use of a name imports the submodule
+that defines it (PEP 562), so a process imports only the layers it uses.
+"""
 
-__all__ = [
-    "BernoulliTable",
-    "BoundReport",
-    "CertificationError",
-    "Character",
-    "CoefficientReport",
-    "ConsistencyError",
-    "CosineSeries",
-    "EmpiricalExtrema",
-    "FieldMismatchError",
-    "FieldSpec",
-    "LPolynomial",
-    "OneSidedResult",
-    "Poly",
-    "PrimeTable",
-    "ResourceLimitError",
-    "RootIsolationError",
-    "ScanConfig",
-    "ScanResult",
-    "SnEvaluator",
-    "SolverError",
-    "TrigPoly",
-    "UnsupportedDegreeError",
-    "ZeroAngles",
-    "antiderivative_constant",
-    "argument_sum",
-    "bernoulli_envelope_constants",
-    "bernoulli_extrema",
-    "block_extrema",
-    "build_prime_table",
-    "choose_degree",
-    "compute_lpolynomial",
-    "construct_one_sided",
-    "count_zeros",
-    "degree_choice",
-    "empirical_extrema",
-    "ensemble_scan",
-    "enumerate_Hd",
-    "envelope",
-    "find_zero_angles",
-    "format_poly",
-    "get_prime_table",
-    "interval_polys",
-    "is_squarefree",
-    "jump_limits",
-    "lambda_sum",
-    "log_modulus",
-    "mean_value",
-    "necklace_count",
-    "oracle_mean",
-    "parse_poly",
-    "periodic_bernoulli",
-    "poly_divmod",
-    "poly_mul",
-    "power_sum",
-    "residue_symbol",
-    "rigorous_bound",
-    "s0_bound_interval_method",
-    "sample_moduli",
-    "unitarize",
-    "verify_coefficient_bounds",
-    "zero_multiplicities",
-    "zeta",
-    "zeta_envelope_constants",
-]
+import importlib
+
+# submodule -> the public names it defines
+_EXPORTS = {
+    "argfunc": (
+        "SnEvaluator",
+        "antiderivative_constant",
+        "argument_sum",
+        "count_zeros",
+        "jump_limits",
+        "log_modulus",
+        "mean_value",
+        "zero_multiplicities",
+    ),
+    "bernoulli": (
+        "BernoulliTable",
+        "bernoulli_envelope_constants",
+        "bernoulli_extrema",
+        "periodic_bernoulli",
+        "zeta",
+        "zeta_envelope_constants",
+    ),
+    "bounds": (
+        "BoundReport",
+        "EmpiricalExtrema",
+        "ScanConfig",
+        "ScanResult",
+        "block_extrema",
+        "choose_degree",
+        "degree_choice",
+        "empirical_extrema",
+        "ensemble_scan",
+        "envelope",
+        "rigorous_bound",
+        "s0_bound_interval_method",
+        "sample_moduli",
+    ),
+    "charsum": ("Character", "lambda_sum", "residue_symbol"),
+    "errors": (
+        "CertificationError",
+        "ConsistencyError",
+        "FieldMismatchError",
+        "ResourceLimitError",
+        "RootIsolationError",
+        "SolverError",
+        "UnsupportedDegreeError",
+    ),
+    "fqpoly": (
+        "FieldSpec",
+        "Poly",
+        "PrimeTable",
+        "build_prime_table",
+        "enumerate_Hd",
+        "format_poly",
+        "get_prime_table",
+        "is_squarefree",
+        "necklace_count",
+        "parse_poly",
+        "poly_divmod",
+        "poly_mul",
+    ),
+    "lfunc": (
+        "CosineSeries",
+        "LPolynomial",
+        "ZeroAngles",
+        "compute_lpolynomial",
+        "find_zero_angles",
+        "power_sum",
+        "unitarize",
+    ),
+    "onesided": (
+        "CoefficientReport",
+        "OneSidedResult",
+        "TrigPoly",
+        "construct_one_sided",
+        "interval_polys",
+        "oracle_mean",
+        "verify_coefficient_bounds",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -25,7 +25,6 @@ from .errors import UnsupportedDegreeError
 from .fqpoly import (
     FieldSpec,
     Poly,
-    _legendre_table,
     _mod,
     _squarefree_tuple,
     divisors,
@@ -33,8 +32,9 @@ from .fqpoly import (
 )
 
 
-def _symbol(num: tuple, mod: tuple, q: int, leg: tuple[int, ...]) -> int:
+def _symbol(num: tuple, mod: tuple, field: FieldSpec) -> int:
     """(num/mod) for a monic modulus, by reciprocity descent."""
+    q = field.q
     sign = 1
     reciprocity_flips = (q - 1) // 2 & 1  # only q = 3 mod 4 can flip signs
     while True:
@@ -46,7 +46,7 @@ def _symbol(num: tuple, mod: tuple, q: int, leg: tuple[int, ...]) -> int:
             return 0
         lc = num[-1]
         if lc != 1:
-            if (dm & 1) and leg[lc] == -1:
+            if (dm & 1) and field.legendre(lc) == -1:
                 sign = -sign
             inv = pow(lc, q - 2, q)
             num = tuple((c * inv) % q for c in num)
@@ -70,8 +70,7 @@ def residue_symbol(f: Poly, modulus: Poly) -> int:
         raise ZeroDivisionError("residue symbol needs a nonzero modulus")
     if not modulus.is_monic:
         raise ValueError("residue symbol needs a monic modulus")
-    q = f.q
-    return _symbol(f.coeffs, modulus.coeffs, q, _legendre_table(q))
+    return _symbol(f.coeffs, modulus.coeffs, f.field)
 
 
 def lambda_sum(field: FieldSpec, k: int, table=None) -> int:
@@ -113,7 +112,6 @@ class Character:
         self.field = D.field
         self.d = D.degree
         self.g = (D.degree - 1) // 2
-        self._leg = _legendre_table(D.q)
         self._prime_chi: dict[tuple, int] = {}
 
     @property
@@ -130,12 +128,12 @@ class Character:
             raise ValueError("chi is defined on monic nonzero polynomials")
         if not f.is_monic:
             raise ValueError("chi is defined on monic polynomials")
-        return _symbol(self.D.coeffs, f.coeffs, self.q, self._leg)
+        return _symbol(self.D.coeffs, f.coeffs, self.field)
 
     def _chi_prime(self, coeffs: tuple) -> int:
         val = self._prime_chi.get(coeffs)
         if val is None:
-            val = _symbol(self.D.coeffs, coeffs, self.q, self._leg)
+            val = _symbol(self.D.coeffs, coeffs, self.field)
             self._prime_chi[coeffs] = val
         return val
 

@@ -19,21 +19,17 @@ import argparse
 import csv
 import io
 import json
-import subprocess
 import sys
 from pathlib import Path
 
-from .bernoulli import (
-    bernoulli_envelope_constants,
-    bernoulli_extrema,
-    zeta_envelope_constants,
-)
-from .bounds import ScanConfig, ensemble_scan
 from .charsum import Character
 from .errors import CertificationError, ConsistencyError, ResourceLimitError, SolverError
 from .fqpoly import FieldSpec, is_squarefree, parse_poly
 from .lfunc import compute_lpolynomial, find_zero_angles, rh_radius_error
-from .onesided import _CERT_TOL, construct_one_sided, interval_polys
+
+# The scan, extremal and constants commands import the bound layer
+# (bounds, onesided, bernoulli) inside their functions: an lpoly request
+# loads only the L-function layer.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -53,6 +49,8 @@ def _fmt(value) -> str:
 def git_describe() -> str:
     """git describe of the checkout the package is imported from, not of
     the caller's working directory; "unknown" outside a git checkout."""
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -146,6 +144,9 @@ def rows_to_csv(rows: list[dict], d: int) -> str:
 
 
 def cmd_scan(args) -> int:
+    from .bounds import ensemble_scan
+    from .onesided import _CERT_TOL
+
     cfg, out = scan_request(args)
     result = ensemble_scan(cfg)
     text = rows_to_csv(result.rows, cfg.d)
@@ -217,6 +218,8 @@ def scan_request(args) -> tuple[ScanConfig, str]:
     """The scan's config and CSV path: each flag given wins over its
     --config file key, and the rest take ScanConfig's defaults (with q = 3
     and d = 5) and scan.csv."""
+    from .bounds import ScanConfig
+
     values = {"q": 3, "d": 5}
     if args.config:
         values.update(_read_config(args.config))
@@ -243,6 +246,8 @@ def _coefficients_csv(poly) -> str:
 
 
 def cmd_extremal(args) -> int:
+    from .onesided import construct_one_sided, interval_polys, verify_coefficient_bounds
+
     if args.target.startswith("interval:"):
         parts = args.target.split(":")
         if len(parts) != 3:
@@ -270,8 +275,6 @@ def cmd_extremal(args) -> int:
             order = int(tag.split(":", 1)[1])
             tag = f"bernoulli:{order + 1}"
         res = construct_one_sided(tag, args.side, args.N)
-        from .onesided import verify_coefficient_bounds
-
         report = verify_coefficient_bounds(res)
         poly = res.poly
         cert = res.to_json_dict()
@@ -290,6 +293,14 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    from .bernoulli import (
+        bernoulli_envelope_constants,
+        bernoulli_extrema,
+        zeta_envelope_constants,
+    )
+
+    if args.nmax < 1:
+        raise ValueError(f"nmax must be at least 1, got {args.nmax}")
     if args.nmax > 12:
         raise ValueError(f"nmax is capped at 12, got {args.nmax}")
     writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -41,6 +41,16 @@ def _sieve(q, cap):
     return polys, links
 
 
+def euler_symbol_prime(f, p):
+    """Legendre symbol mod a prime polynomial via the Euler criterion."""
+    r = f % p
+    if r.is_zero:
+        return 0
+    val = r.pow_mod((p.q**p.degree - 1) // 2, p)
+    assert val.degree == 0, "Euler criterion must land on a constant"
+    return 1 if val.coeffs == (1,) else -1
+
+
 def chi_blocks(char, cap):
     """chi on every monic polynomial of degree 0..cap, in enumeration order."""
     polys, links = _sieve(char.q, cap)

@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from charsum_oracle import chi_block, coefficient_sum
+from charsum_oracle import chi_block, coefficient_sum, euler_symbol_prime
 from hypothesis import given, settings, strategies as st
 
 from hyperell.charsum import Character, lambda_sum, residue_symbol
@@ -13,16 +14,6 @@ F5 = FieldSpec(5)
 
 
 # --- independent oracles (never touch the descent path) ---------------------
-
-
-def euler_symbol_prime(f, p):
-    """Legendre symbol mod a prime polynomial via the Euler criterion."""
-    r = f % p
-    if r.is_zero:
-        return 0
-    val = r.pow_mod((p.q**p.degree - 1) // 2, p)
-    assert val.degree == 0, "Euler criterion must land on a constant"
-    return 1 if val.coeffs == (1,) else -1
 
 
 def factorize(f, table):
@@ -102,6 +93,27 @@ def test_symbol_against_euler_criterion_all_small_primes(table3):
                     assert residue_symbol(f, p) == euler_symbol_prime(f, p), (
                         f"({f})/({p})"
                     )
+
+
+@pytest.mark.parametrize("q", [65537, 65539])  # 1 and 3 mod 4
+def test_symbol_against_euler_criterion_above_the_table_threshold(q):
+    # F_q symbols above 65,536 elements come from Euler's criterion on
+    # F_q rather than a table; moduli of degree 1 to 3, non-monic numerators
+    field = FieldSpec(q)
+    rng = random.Random(q)
+    x = Poly.x(field)
+    primes = []
+    while len(primes) < 6:
+        cand = Poly.make(field, [rng.randrange(q) for _ in range(3)] + [1])
+        if (x.pow_mod(q, cand) - x).gcd(cand).degree == 0:  # a cubic without roots
+            primes.append(cand)
+    nonresidue = next(a for a in range(2, q) if field.legendre(a) == -1)
+    primes += [x - Poly.make(field, [a]) for a in (0, 1, 12345, q - 1)]
+    primes.append(x * x - Poly.make(field, [nonresidue]))
+    for p in primes:
+        for d in range(6):
+            f = Poly.make(field, [rng.randrange(q) for _ in range(d + 1)])
+            assert residue_symbol(f, p) == euler_symbol_prime(f, p), f"({f})/({p})"
 
 
 def test_symbol_against_brute_composite_moduli(table3):

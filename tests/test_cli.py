@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from conftest import SRC, run_cli
 
-from hyperell import cli
+from hyperell import cli, onesided
 from hyperell.cli import rows_to_csv
 from hyperell.errors import SolverError
 
@@ -49,6 +49,15 @@ def test_lpoly_over_budget_exits_2():
     proc = run_cli("lpoly", "--q", "7", "--D", "x^19+x+1")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_lpoly_huge_field_exits_2():
+    # F_q has no symbol table above 65,536 elements; the degree-1 prime
+    # table is what runs over the budget
+    proc = run_cli("lpoly", "--q", "2147483647", "--D", "x^3+x+1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
 
@@ -228,7 +237,7 @@ def test_solver_failure_exits_5(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise SolverError("dual unbounded: the primal program is infeasible")
 
-    monkeypatch.setattr(cli, "construct_one_sided", fail)
+    monkeypatch.setattr(onesided, "construct_one_sided", fail)
     code = cli.main(["extremal", "--target", "log2sin", "--side", "majorant", "--N", "4"])
     assert code == 5
     assert "LP solver failure" in capsys.readouterr().err
@@ -334,6 +343,14 @@ def test_constants_table():
         a = float(byn[n]["A_minus"])
         assert (1 - 3.0**-n) / (math.pi * 2 ** (n + 1)) < a < 1 / (math.pi * 2 ** (n + 1))
     assert run_cli("constants", "--nmax", "13").returncode == 2
+
+
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+def test_constants_rejects_nmax_below_one(nmax):
+    proc = run_cli("constants", "--nmax", nmax)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 # --- csv formatting ---------------------------------------------------------------

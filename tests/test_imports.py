@@ -11,10 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    p for p in (ROOT / "src" / "hyperell").glob("*.py")
-    if p.name != "__init__.py"  # the package namespace re-exports by design
-)
+MODULES = sorted((ROOT / "src" / "hyperell").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
@@ -65,3 +62,40 @@ def test_scan_loads_neither_process_pools_nor_masked_arrays():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_lpoly_loads_only_the_lfunction_layer():
+    # an lpoly request never touches the bound layer, so compiling and
+    # importing it would only delay the answer
+    src = str(ROOT / "src")
+    code = (
+        "import contextlib, io, sys\n"
+        "from hyperell import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['lpoly', '--q', '3', '--D', 'x^11+2x+1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'hyperell'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(sorted([
+        "hyperell", "hyperell.cli", "hyperell.errors", "hyperell.fqpoly",
+        "hyperell.charsum", "hyperell.lfunc",
+    ]))
+
+
+def test_package_namespace():
+    import hyperell
+
+    for module, names in hyperell._EXPORTS.items():
+        defining = importlib.import_module(f"hyperell.{module}")
+        for name in names:
+            assert getattr(hyperell, name) is getattr(defining, name), name
+    namespace = {}
+    exec("from hyperell import *", namespace)
+    assert set(hyperell.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        hyperell.nope
+    namespace = {}
+    exec("from hyperell import onesided", namespace)
+    assert namespace["onesided"] is importlib.import_module("hyperell.onesided")
