@@ -2,8 +2,9 @@
 """Rewrite src/hyperell/onesided_constructions.json from the LP solver.
 
 The file holds every one-sided polynomial the bound layer of a default F_3
-H_7 scan builds (SCAN_TARGETS under the exhaustive policy at n_cap = 8:
-the log2sin majorant and bernoulli:1..3 on both sides, N = 0..8), with its
+H_7 scan builds (SCAN_TARGETS under the exhaustive policy up to
+DEFAULT_N_CAP: the log2sin majorant and bernoulli:1..3 on both sides,
+N = 0..8), with its
 LP provenance.  block_one_sided (and so construct_one_sided) serves these
 keys from the file, re-certifying them, instead of re-solving them in
 every process.  The stored file is hidden while the solver runs, so every

@@ -9,7 +9,6 @@ import importlib
 # submodule -> the public names it defines
 _EXPORTS = {
     "argfunc": (
-        "SnEvaluator",
         "antiderivative_constant",
         "argument_sum",
         "count_zeros",
@@ -62,8 +61,6 @@ _EXPORTS = {
         "is_squarefree",
         "necklace_count",
         "parse_poly",
-        "poly_divmod",
-        "poly_mul",
     ),
     "lfunc": (
         "CosineSeries",

@@ -17,11 +17,10 @@ zero, consistent with the counting identity
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli import BernoulliTable, default_table
+from .bernoulli import TABLE
 from .errors import ConsistencyError
 from .lfunc import ZeroAngles
 
@@ -84,16 +83,10 @@ def column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def zero_sums(
-    frac: np.ndarray,
-    n: int | None,
-    table: BernoulliTable | None = None,
-    out: np.ndarray | None = None,
-    singular_tol: float = 1e-12,
-) -> np.ndarray:
+def zero_sums(frac: np.ndarray, n: int | None, out: np.ndarray | None = None) -> np.ndarray:
     """Sums over the zero angles from zero-major fractional parts
     (fractional_parts), one per column: log|L| for n None (-inf within
-    singular_tol of a zero angle), else S_n.
+    1e-12 of a zero angle), else S_n.
 
     The shared kernel of log_modulus, argument_sum and the extrema scans:
     elementwise steps in place, then column_sums, whose rounding is that
@@ -104,7 +97,7 @@ def zero_sums(
     if n is None:
         np.subtract(1.0, frac, out=work)
         np.minimum(frac, work, out=work)
-        near = work <= singular_tol
+        near = work <= 1e-12
         np.multiply(frac, math.pi, out=work)
         np.sin(work, out=work)
         np.abs(work, out=work)
@@ -115,43 +108,41 @@ def zero_sums(
         if near.any():  # rare: points are seldom this close to a zero angle
             vals[near.any(axis=0)] = -np.inf
         return vals
-    (table or default_table()).on_unit(n + 1, frac, out=work)
+    TABLE.on_unit(n + 1, frac, out=work)
     vals = column_sums(work, out=out)
     np.negative(vals, out=vals)
     vals /= math.factorial(n + 1)
     return vals
 
 
-def log_modulus(zeros: ZeroAngles, theta, singular_tol: float = 1e-12):
-    """sum_j log 2|sin pi(theta - theta_j)|; -inf within tol of a zero angle.
+def log_modulus(zeros: ZeroAngles, theta):
+    """sum_j log 2|sin pi(theta - theta_j)|; -inf within 1e-12 of a zero angle.
 
     Equals log|L| on the critical circle (the direct-evaluation
     cross-check lives in the tests).
     """
     th = np.asarray(theta, dtype=float)
     frac = fractional_parts(th.reshape(-1), zeros.theta)
-    vals = zero_sums(frac, None, singular_tol=singular_tol).reshape(th.shape)
+    vals = zero_sums(frac, None).reshape(th.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 
-def argument_sum(zeros: ZeroAngles, n: int, theta, table: BernoulliTable | None = None):
+def argument_sum(zeros: ZeroAngles, n: int, theta):
     """S_n(theta): the n-th normalized antiderivative of the argument sum."""
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
     th = np.asarray(theta, dtype=float)
     frac = fractional_parts(th.reshape(-1), zeros.theta)
-    vals = zero_sums(frac, n, table).reshape(th.shape)
+    vals = zero_sums(frac, n).reshape(th.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 
-def antiderivative_constant(
-    zeros: ZeroAngles, n: int, table: BernoulliTable | None = None
-) -> float:
+def antiderivative_constant(zeros: ZeroAngles, n: int) -> float:
     """The integration constant c_n that gives S_n mean zero: equals
     S_n(0).  Conjugate symmetry forces c_n = 0 for even n (checked)."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    value = argument_sum(zeros, n, 0.0, table)
+    value = argument_sum(zeros, n, 0.0)
     if n % 2 == 0 and abs(value) > 1e-10:
         raise ConsistencyError(
             f"c_{n} should vanish by symmetry but came out {value:.3e}"
@@ -170,7 +161,7 @@ def zero_multiplicities(zeros: ZeroAngles, tol: float = 1e-12) -> list[tuple[flo
     return out
 
 
-def jump_limits(zeros: ZeroAngles, table: BernoulliTable | None = None):
+def jump_limits(zeros: ZeroAngles):
     """One-sided limits of S_0 at each distinct zero angle.
 
     Returns (angles, left, right): S_0 jumps up by the multiplicity when
@@ -184,16 +175,18 @@ def jump_limits(zeros: ZeroAngles, table: BernoulliTable | None = None):
     angles = np.array([t for t, _ in distinct], dtype=float)
     mults = np.array([m for _, m in distinct], dtype=int)
     coincident = np.repeat(angles, mults)
-    centers = zero_sums(fractional_parts(angles, coincident), 0, table)
+    centers = zero_sums(fractional_parts(angles, coincident), 0)
     return angles, centers - mults / 2.0, centers + mults / 2.0
 
 
-def count_zeros(zeros: ZeroAngles, alpha: float, beta: float, tol: float = 1e-12) -> float:
+def count_zeros(zeros: ZeroAngles, alpha: float, beta: float) -> float:
     """Normalized count of zero angles in the arc [alpha, beta] on R/Z.
 
-    Angles at an endpoint weigh 1/2; a degenerate interval counts half
-    the multiplicity sitting at the point; the full circle counts 2g.
+    Angles within 1e-12 of an endpoint weigh 1/2; a degenerate interval
+    counts half the multiplicity sitting at the point; the full circle
+    counts 2g.
     """
+    tol = 1e-12
     length = beta - alpha
     if not (-tol <= length <= 1.0 + tol):
         raise ValueError(f"interval length must lie in [0, 1], got {length}")
@@ -210,17 +203,14 @@ def count_zeros(zeros: ZeroAngles, alpha: float, beta: float, tol: float = 1e-12
     )
 
 
-def mean_value(
-    zeros: ZeroAngles, n: int, table: BernoulliTable | None = None, tol: float = 1e-9
-) -> float:
+def mean_value(zeros: ZeroAngles, n: int) -> float:
     """Quadrature mean of S_n over [0, 1): composite Simpson per segment
-    between zero angles, panels doubling until the change drops below tol.
+    between zero angles, panels doubling until the change drops below 1e-9.
 
     Segments are split at the zero angles so the jumps of S_0 and the
     kinks of higher orders sit at panel boundaries; endpoints are nudged
     inward so one-sided values are integrated across jumps.
     """
-    table = table or default_table()
     bounds = sorted({t for t, _ in zero_multiplicities(zeros)})
     if not bounds:
         bounds = [0.0]
@@ -237,11 +227,11 @@ def mean_value(
         prev = None
         while True:
             xs = np.linspace(a, b, panels + 1)
-            ys = argument_sum(zeros, n, xs, table)
+            ys = argument_sum(zeros, n, xs)
             est = (b - a) / (3.0 * panels) * (
                 ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()
             )
-            if prev is not None and abs(est - prev) < tol / max(len(segs), 1):
+            if prev is not None and abs(est - prev) < 1e-9 / max(len(segs), 1):
                 break
             if panels >= 2**14:
                 break
@@ -250,17 +240,3 @@ def mean_value(
         total += est
     return total
 
-
-@dataclass(frozen=True)
-class SnEvaluator:
-    """A fixed-order argument sum bound to one set of zeros."""
-
-    zeros: ZeroAngles
-    n: int
-    table: BernoulliTable | None = None
-
-    def __call__(self, theta):
-        return argument_sum(self.zeros, self.n, theta, self.table)
-
-    def mean(self, tol: float = 1e-9) -> float:
-        return mean_value(self.zeros, self.n, self.table, tol)

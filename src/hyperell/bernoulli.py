@@ -1,6 +1,6 @@
 """Bernoulli polynomials held as exact rationals, with extrema and zeta.
 
-Coefficients are Fractions up to index nmax = 13 so that the closed-form
+Coefficients are Fractions up to index NMAX = 13 so that the closed-form
 comparisons of the envelope constants hold to 1e-10 and better; floating
 evaluation converts once to a numpy coefficient row and uses Horner.
 
@@ -35,28 +35,23 @@ def _bernoulli_numbers(nmax: int) -> list[Fraction]:
 
 
 class BernoulliTable:
-    """Polynomials B_0..B_nmax with extrema on [0, 1]."""
+    """Polynomials B_0..B_NMAX with extrema on [0, 1]."""
 
-    def __init__(self, nmax: int = NMAX):
-        if not (1 <= nmax <= NMAX):
-            raise ValueError(f"nmax must be in [1, {NMAX}], got {nmax}")
-        self.nmax = nmax
-        numbers = _bernoulli_numbers(nmax)
+    def __init__(self):
+        numbers = _bernoulli_numbers(NMAX)
         # ascending coefficient rows: B_n(x) = sum_k C(n,k) B_{n-k} x^k
         self._coeffs: list[tuple[Fraction, ...]] = []
         self._horner: list[np.ndarray] = []  # descending, for np.polyval
-        for n in range(nmax + 1):
+        for n in range(NMAX + 1):
             row = tuple(Fraction(math.comb(n, k)) * numbers[n - k] for k in range(n + 1))
             self._coeffs.append(row)
             self._horner.append(np.array([float(c) for c in reversed(row)]))
-        self._extrema: dict[int, tuple[tuple[float, float], tuple[float, float]]] = {}
+        self._extrema: dict[int, tuple[float, float]] = {}
         self._lock = threading.Lock()
 
     def _guard(self, n: int):
-        if not (0 <= n <= self.nmax):
-            raise UnsupportedDegreeError(
-                f"Bernoulli table covers indices 0..{self.nmax}, got {n}"
-            )
+        if not (0 <= n <= NMAX):
+            raise UnsupportedDegreeError(f"Bernoulli table covers indices 0..{NMAX}, got {n}")
 
     def coefficients(self, n: int) -> tuple[Fraction, ...]:
         """Exact ascending coefficients of B_n."""
@@ -131,52 +126,37 @@ class BernoulliTable:
                 roots.append(float((lo + hi) / 2))
         return roots
 
-    def extrema_with_locations(self, n: int):
-        """((max, argmax), (min, argmin)) of B_n on [0, 1]."""
+    def extrema(self, n: int) -> tuple[float, float]:
+        """(max, min) of B_n on [0, 1], over the ends and the critical points."""
         self._guard(n)
         if n == 0:
-            return ((1.0, 0.0), (1.0, 0.0))
+            return (1.0, 1.0)
         with self._lock:
             cached = self._extrema.get(n)
             if cached is None:
                 candidates = [0.0, 1.0] + self._critical_points(n)
-                values = [(float(np.polyval(self._horner[n], x)), x) for x in candidates]
-                hi = max(values)
-                lo = min(values)
-                cached = ((hi[0], hi[1]), (lo[0], lo[1]))
+                values = [float(np.polyval(self._horner[n], x)) for x in candidates]
+                cached = (max(values), min(values))
                 self._extrema[n] = cached
             return cached
 
-    def extrema(self, n: int) -> tuple[float, float]:
-        """(max, min) of B_n on [0, 1]."""
-        hi, lo = self.extrema_with_locations(n)
-        return hi[0], lo[0]
+
+# the one table every caller shares
+TABLE = BernoulliTable()
 
 
-_DEFAULT_TABLE: BernoulliTable | None = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def default_table() -> BernoulliTable:
-    global _DEFAULT_TABLE
-    with _DEFAULT_LOCK:
-        if _DEFAULT_TABLE is None:
-            _DEFAULT_TABLE = BernoulliTable()
-        return _DEFAULT_TABLE
-
-
-def periodic_bernoulli(n: int, x, table: BernoulliTable | None = None):
+def periodic_bernoulli(n: int, x):
     """Periodic Bernoulli value(s) at x; scalar in, scalar out.
 
     x is taken as the float given: periodicity holds for exact shifts, and
     a shift that rounds onto an integer lands on the n = 1 jump.
     """
-    return (table or default_table()).periodic(n, x)
+    return TABLE.periodic(n, x)
 
 
-def bernoulli_extrema(n: int, table: BernoulliTable | None = None) -> tuple[float, float]:
+def bernoulli_extrema(n: int) -> tuple[float, float]:
     """(M_n, m_n): the extrema of B_n on [0, 1]."""
-    return (table or default_table()).extrema(n)
+    return TABLE.extrema(n)
 
 
 def zeta(s: int) -> float:
@@ -198,14 +178,12 @@ def zeta(s: int) -> float:
     return head + tail
 
 
-def bernoulli_envelope_constants(
-    n: int, table: BernoulliTable | None = None
-) -> tuple[float, float]:
+def bernoulli_envelope_constants(n: int) -> tuple[float, float]:
     """(A_n^-, A_n^+): the one-sided envelope constants from the extrema
     of B_(n+1), namely (pi^n / 2) * M_(n+1) / (n+1)! and its min twin."""
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
-    hi, lo = (table or default_table()).extrema(n + 1)
+    hi, lo = TABLE.extrema(n + 1)
     f = math.factorial(n + 1)
     half = math.pi**n / 2.0
     return half * hi / f, -half * lo / f

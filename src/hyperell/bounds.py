@@ -187,35 +187,22 @@ def _select_bounds(
 
 
 def rigorous_bound(
-    zeros: ZeroAngles,
-    q: int,
-    target: str,
-    n: int | None,
-    side: str,
-    N: int,
-    mode: str = "weil",
-    weights: np.ndarray | None = None,
+    zeros: ZeroAngles, q: int, target: str, n: int | None, side: str, N: int, mode: str = "weil"
 ) -> BoundReport:
-    """Evaluate the bound 2g W-hat(0) +/- sum |W-hat(k)| w_k at degree N;
-    weights holds w_1.. (at least N of them) if the caller has them.
+    """Evaluate the bound 2g W-hat(0) +/- sum |W-hat(k)| w_k at degree N.
 
     Moduli have odd degree throughout (scans and lpoly reject even d), so
     the modulus degree is d = 2g + 1."""
-    if weights is None:
-        weights = _tail_weights(q, N, mode, [zeros])
+    weights = _tail_weights(q, N, mode, [zeros])
     key = (target, n, side)
     fourier = _one_sided_fourier({key: [N]})[key]
-    return _select_bounds(zeros.count // 2, q, key, mode, [N], fourier, np.atleast_2d(weights))[0]
+    return _select_bounds(zeros.count // 2, q, key, mode, [N], fourier, weights)[0]
 
 
-def _degree_cap(q: int, d: int, n: int | None, n_cap: int) -> int:
-    """The largest degree exhaustive selection tries (covers the formula's)."""
-    return max(n_cap, degree_choice(q, d, n or 0))
-
-
-def _candidate_degrees(policy: str, q: int, d: int, n: int | None, n_cap: int):
+def _candidate_degrees(policy: str, q: int, d: int, n: int | None):
     """The degrees a policy chooses among: formula and fixed:N name one,
-    exhaustive tries 0..cap."""
+    exhaustive tries 0 up to DEFAULT_N_CAP or the formula's degree,
+    whichever is larger."""
     if policy == "formula":
         return [degree_choice(q, d, n or 0)]
     if policy.startswith("fixed:"):
@@ -225,7 +212,7 @@ def _candidate_degrees(policy: str, q: int, d: int, n: int | None, n_cap: int):
         return [N]
     if policy != "exhaustive":
         raise ValueError(f"unknown degree policy {policy!r}")
-    return range(_degree_cap(q, d, n, n_cap) + 1)
+    return range(max(DEFAULT_N_CAP, degree_choice(q, d, n or 0)) + 1)
 
 
 def choose_degree(
@@ -237,25 +224,20 @@ def choose_degree(
     side: str,
     mode: str,
     zeros: ZeroAngles,
-    n_cap: int = DEFAULT_N_CAP,
-    weights: np.ndarray | None = None,
 ) -> int:
     """Resolve the degree policy: formula, fixed:N, or exhaustive.
 
-    Exhaustive minimizes the rigorous bound magnitude over 0..cap (the cap
-    always covers the formula degree, so exhaustive is never worse), each
-    bound summed as rigorous_bound sums it, from one table of weights w_k
-    (weights, if given, holds at least cap of them): a block of one
-    (_select_bounds)."""
-    degrees = _candidate_degrees(policy, q, d, n, n_cap)
+    Exhaustive minimizes the rigorous bound magnitude over its candidate
+    degrees (they always cover the formula degree, so exhaustive is never
+    worse), each bound summed as rigorous_bound sums it, from one table of
+    weights w_k: a block of one (_select_bounds)."""
+    degrees = _candidate_degrees(policy, q, d, n)
     if policy != "exhaustive":
         return degrees[0]
-    if weights is None:
-        weights = _tail_weights(q, degrees[-1], mode, [zeros])
+    weights = _tail_weights(q, degrees[-1], mode, [zeros])
     key = (target, n, side)
     fourier = _one_sided_fourier({key: degrees})[key]
-    reports = _select_bounds(zeros.count // 2, q, key, mode, degrees, fourier, np.atleast_2d(weights))
-    return reports[0].N_used
+    return _select_bounds(zeros.count // 2, q, key, mode, degrees, fourier, weights)[0].N_used
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +253,15 @@ class EmpiricalExtrema:
     argmin: float | None
 
 
-def _vector_golden_max(f, centers: np.ndarray, half_width: float, iters: int = 30):
-    """Golden-section maxima around several centers at once."""
+def _vector_golden_max(f, centers: np.ndarray, half_width: float):
+    """Golden-section maxima around several centers at once, 30 steps each."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a = centers - half_width
     b = centers + half_width
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(30):
         take = fc >= fd
         b = np.where(take, d, b)
         a = np.where(take, a, c)
@@ -290,13 +272,15 @@ def _vector_golden_max(f, centers: np.ndarray, half_width: float, iters: int = 3
     return mid, f(mid)
 
 
-def _top_cells(vals: np.ndarray, count: int = _CELLS, spacing: int = 4) -> np.ndarray:
+def _top_cells(vals: np.ndarray) -> np.ndarray:
+    """The indices of the _CELLS largest values, at least 4 apart, greedily
+    from the largest."""
     order = np.argsort(vals)[::-1]
     picked: list[int] = []
     for idx in order:
-        if all(abs(int(idx) - p) >= spacing for p in picked):
+        if all(abs(int(idx) - p) >= 4 for p in picked):
             picked.append(int(idx))
-        if len(picked) >= count:
+        if len(picked) >= _CELLS:
             break
     return np.asarray(picked, dtype=int)
 
@@ -473,12 +457,7 @@ def _s0_interval_bounds(g: int, points, degrees, weights) -> list[tuple[float, f
 
 
 def s0_bound_interval_method(
-    zeros: ZeroAngles,
-    q: int,
-    theta: float,
-    N: int,
-    mode: str = "weil",
-    weights: np.ndarray | None = None,
+    zeros: ZeroAngles, q: int, theta: float, N: int, mode: str = "weil"
 ) -> tuple[float, float]:
     """(upper, lower) bounds on S_0(theta) through the zero counter of the
     symmetric interval [-theta, theta]:
@@ -487,11 +466,9 @@ def s0_bound_interval_method(
 
     then the interval indicator is replaced by its one-sided polynomials,
     whose mean gap 1/(N+1) does not depend on theta.  Odd symmetry reduces
-    any angle to [0, 1/2].  weights holds w_1.. (at least N of them) if
-    the caller has them.  A block of one (_s0_interval_bounds)."""
-    if weights is None:
-        weights = _tail_weights(q, N, mode, [zeros])
-    return _s0_interval_bounds(zeros.count // 2, [theta], [N], np.atleast_2d(weights))[0]
+    any angle to [0, 1/2].  A block of one (_s0_interval_bounds)."""
+    weights = _tail_weights(q, N, mode, [zeros])
+    return _s0_interval_bounds(zeros.count // 2, [theta], [N], weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +486,6 @@ class ScanConfig:
     policy: str = "exhaustive"  # formula | exhaustive | fixed:N
     mode: str = "weil"  # mode written to rows; both modes always checked
     grid_size: int = DEFAULT_GRID
-    n_cap: int = DEFAULT_N_CAP
     soundness_slack: float = SOUNDNESS_SLACK
     threads: int | None = None
 
@@ -519,7 +495,7 @@ class ScanConfig:
             raise ValueError(f"scans need odd degree d >= 3, got {self.d}")
         for tag in self.targets:
             parse_target(tag)
-        _candidate_degrees(self.policy, self.q, self.d, None, self.n_cap)  # raises on a bad policy
+        _candidate_degrees(self.policy, self.q, self.d, None)  # raises on a bad policy
         if self.mode not in ("weil", "exact"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.grid_size < 2**10:
@@ -588,7 +564,7 @@ def _bound_layer(config: ScanConfig) -> _BoundLayer:
             for side in (("upper",) if target == "logmod" else ("upper", "lower"))
         )
     )
-    degrees = {key: _candidate_degrees(config.policy, q, d, key[1], config.n_cap) for key in keys}
+    degrees = {key: _candidate_degrees(config.policy, q, d, key[1]) for key in keys}
     fourier = _one_sided_fourier(degrees)
     top = max((max(degrees[key]) for key in keys), default=0)
     weil_weights = _tail_weights(q, top, "weil")
@@ -735,22 +711,27 @@ def ensemble_scan(config: ScanConfig) -> ScanResult:
     layer = _bound_layer(config)
     workers = resolve_threads(config.threads)
     spans = _chunk_spans(len(encodings), workers)
-    if len(spans) <= 1:
+    fork = None
+    if len(spans) > 1:
+        import multiprocessing as mp
+
+        try:
+            fork = mp.get_context("fork")
+        except ValueError:  # no fork start method on this platform: scan serially
+            pass
+    if fork is None:
         rows, violations = _scan_chunk(encodings, config, layer)
     else:
-        chunks = [encodings[a:b] for a, b in spans]
-        import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
+        # an exception in a worker, or a failed fork, propagates; the chunks
+        # no worker has taken yet are cancelled, and none is rerun here
         rows, violations = [], []
-        try:
-            ctx = mp.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                for r, v in pool.map(_scan_chunk, chunks, repeat(config), repeat(layer)):
-                    rows.extend(r)
-                    violations.extend(v)
-        except (ImportError, OSError, ValueError):
-            rows, violations = _scan_chunk(encodings, config, layer)
+        chunks = [encodings[a:b] for a, b in spans]
+        with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+            for r, v in pool.map(_scan_chunk, chunks, repeat(config), repeat(layer)):
+                rows.extend(r)
+                violations.extend(v)
     aggregates = _aggregate(rows, config)
     return ScanResult(config, rows, violations, aggregates)
 

@@ -301,16 +301,6 @@ class Poly:
         return format_poly(self)
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    """Product in F_q[x]; errors on mismatched fields."""
-    return a * b
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with deg r < deg b; errors on zero divisor."""
-    return divmod(a, b)
-
-
 def is_squarefree(f: Poly) -> bool:
     """True iff gcd(f, f') = 1.  Requires f nonzero."""
     if f.is_zero:

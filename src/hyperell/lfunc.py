@@ -252,11 +252,12 @@ def rh_radius_error(L: LPolynomial) -> float:
     return float(np.max(np.abs(np.abs(roots) * math.sqrt(L.q) - 1.0)))
 
 
-def _verify_reconstruction(zeros: ZeroAngles, L: LPolynomial, rtol=1e-6):
+def _verify_reconstruction(zeros: ZeroAngles, L: LPolynomial):
+    """Raise unless the zeros reconstruct every c_k within 1e-6 relative."""
     recon = reconstruct_coefficients(zeros, L.q)
     for k, ck in enumerate(L.c):
         err = abs(recon[k] - ck) / max(1.0, abs(ck))
-        if err > rtol:
+        if err > 1e-6:
             raise ConsistencyError(
                 f"zero angles do not reconstruct c_{k} of {L.D}: "
                 f"{recon[k]:.9g} vs {ck} (rel err {err:.2e})"
@@ -416,20 +417,19 @@ def _isolate_block(series: list[CosineSeries], g: int, points: int) -> list[list
     return out
 
 
-def block_zero_angles(Ls: list[LPolynomial], grid_factor: int = 64) -> list[ZeroAngles]:
+def block_zero_angles(Ls: list[LPolynomial]) -> list[ZeroAngles]:
     """All 2g zero angles of each L in a block of one genus, with
     multiplicity, by sign scanning Xi.
 
-    Scans a uniform grid over [0, 1/2] (the half circle suffices by the
-    theta <-> 1-theta symmetry), refines the sign changes of the whole
-    block at once by bisection plus Newton, detects tangencies as
-    near-zero critical points, and mirrors interior roots.  The grid of
-    an L whose angles are not all found escalates by doubling up to 1024
-    before a root-isolation failure is reported with the suspect data.
+    Scans a uniform grid of 64(2g+2) intervals over [0, 1/2] (the half
+    circle suffices by the theta <-> 1-theta symmetry), refines the sign
+    changes of the whole block at once by bisection plus Newton, detects
+    tangencies as near-zero critical points, and mirrors interior roots.
+    The grid of an L whose angles are not all found escalates by doubling
+    up to 1024(2g+2) intervals before a root-isolation failure is reported
+    with the suspect data.
     Every lane is independent, so an L's angles do not depend on its block.
     """
-    if grid_factor < 16:
-        raise ValueError(f"grid_factor must be >= 16, got {grid_factor}")
     if len({L.g for L in Ls}) > 1:
         raise ValueError("a block takes L-polynomials of one genus")
     if not Ls or Ls[0].g == 0:
@@ -438,7 +438,7 @@ def block_zero_angles(Ls: list[LPolynomial], grid_factor: int = 64) -> list[Zero
     series = [unitarize(L) for L in Ls]
     found: list[list | None] = [None] * len(Ls)
     pending = list(range(len(Ls)))
-    gf = grid_factor
+    gf = 64
     while True:
         for m, f in zip(pending, _isolate_block([series[m] for m in pending], g, gf * (2 * g + 2))):
             found[m] = f
@@ -471,6 +471,6 @@ def block_zero_angles(Ls: list[LPolynomial], grid_factor: int = 64) -> list[Zero
     return out
 
 
-def find_zero_angles(L: LPolynomial, grid_factor: int = 64) -> ZeroAngles:
+def find_zero_angles(L: LPolynomial) -> ZeroAngles:
     """All 2g zero angles of one L: a block of one (block_zero_angles)."""
-    return block_zero_angles([L], grid_factor)[0]
+    return block_zero_angles([L])[0]

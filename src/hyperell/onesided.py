@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bernoulli import BernoulliTable, default_table
+from .bernoulli import TABLE
 from .errors import CertificationError, SolverError
 from .simplex import solve_inequality_lp
 
@@ -116,17 +116,16 @@ class TrigPoly:
 
 
 class _Target:
-    def __init__(self, name, even, singular, value, table):
+    def __init__(self, name, even, singular, value):
         self.name = name
         self.even = even
         self.singular = singular  # jump or log-singularity at theta = 0
         self.value = value
-        self.table = table
 
 
-def target_spec(name: str, table: BernoulliTable | None = None) -> _Target:
-    """Parse a target tag: log2sin, sawtooth, or bernoulli:m."""
-    table = table or default_table()
+def target_spec(name: str) -> _Target:
+    """Parse a target tag: log2sin, sawtooth (read as bernoulli:1), or
+    bernoulli:m."""
     if name == "log2sin":
 
         def value(x):
@@ -137,7 +136,7 @@ def target_spec(name: str, table: BernoulliTable | None = None) -> _Target:
             v = np.where(frac == 0.0, -np.inf, v)
             return float(v) if v.ndim == 0 else v
 
-        return _Target("log2sin", True, True, value, table)
+        return _Target("log2sin", True, True, value)
     if name == "sawtooth":
         name = "bernoulli:1"
     if name.startswith("bernoulli:"):
@@ -145,26 +144,25 @@ def target_spec(name: str, table: BernoulliTable | None = None) -> _Target:
         if m < 1:
             raise ValueError(f"Bernoulli index must be >= 1, got {m}")
 
-        def value(x, m=m):
-            return table.periodic(m, x)
+        def value(x):
+            return TABLE.periodic(m, x)
 
-        return _Target(f"bernoulli:{m}", m % 2 == 0, m == 1, value, table)
+        return _Target(f"bernoulli:{m}", m % 2 == 0, m == 1, value)
     raise ValueError(f"unknown one-sided target {name!r}")
 
 
-def oracle_mean(target: str, side: str, N: int, table: BernoulliTable | None = None):
+def oracle_mean(target: str, side: str, N: int):
     """The known extremal mean, or None where no finite one exists.
 
     log2sin majorant: log2/(N+1); Bernoulli index m: extrema of B_m over
     (N+1)^m; the log-sine target has no global minorant (it is unbounded
     below), so that side carries no oracle.
     """
-    table = table or default_table()
-    spec = target_spec(target, table)
+    spec = target_spec(target)
     if spec.name == "log2sin":
         return math.log(2.0) / (N + 1) if side == "majorant" else None
     m = int(spec.name.split(":")[1])
-    hi, lo = table.extrema(m)
+    hi, lo = TABLE.extrema(m)
     return (hi if side == "majorant" else lo) / float(N + 1) ** m
 
 
@@ -272,14 +270,14 @@ def _poly_rows(a0: np.ndarray, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray
     return a0 + np.vecdot(cos, coeffs[:, 0]) + np.vecdot(sin, coeffs[:, 1])
 
 
-def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 60):
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray):
     """Golden-section minima of f on every lane [lo[i], hi[i]] at once.
 
     f(lanes, x) maps the points x of the given lane ids to their values.
     Each lane takes exactly the steps of a scalar search and stops after
-    the step that brings its bracket below 1e-14; the result is the least
-    (value, point) pair of the two inner points and the two ends, in tuple
-    order.
+    the step that brings its bracket below 1e-14 (60 steps at most); the
+    result is the least (value, point) pair of the two inner points and
+    the two ends, in tuple order.
     """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo.copy(), hi.copy()
@@ -288,7 +286,7 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 60):
     every = np.arange(len(lo))
     live = every
     fc, fd = f(every, c), f(every, d)
-    for _ in range(iters):
+    for _ in range(60):
         if not len(live):
             break
         left = fc[live] <= fd[live]
@@ -448,21 +446,15 @@ def _stored_entry(key: tuple) -> dict | None:
         return _STORE.get(key)
 
 
-def _cache_key(target: str, side: str, N: int, grid_points: int | None = None) -> tuple:
-    """(target, side, N, grid_points) with sawtooth read as bernoulli:1 and
-    the default grid 40(N+1) filled in; raises ValueError on a bad request."""
+def _cache_key(target: str, side: str, N: int) -> tuple:
+    """(target, side, N, grid_points): the target by its target_spec name
+    and the construction grid of 40(N+1) points; raises ValueError on a
+    bad request."""
     if side not in ("majorant", "minorant"):
         raise ValueError(f"side must be majorant or minorant, got {side!r}")
     if N < 0:
         raise ValueError(f"degree must be >= 0, got {N}")
-    if target == "sawtooth":
-        target = "bernoulli:1"
-    base = 40 * (N + 1)
-    if grid_points is None:
-        grid_points = base
-    if grid_points < base:
-        raise ValueError(f"grid_points must be at least 40(N+1) = {base}")
-    return (target, side, N, grid_points)
+    return (target_spec(target).name, side, N, 40 * (N + 1))
 
 
 def _finish(key, spec, poly, certified, lp_mean, rounds, constraints, repair=0.0) -> OneSidedResult:
@@ -480,7 +472,7 @@ def _finish(key, spec, poly, certified, lp_mean, rounds, constraints, repair=0.0
         target=spec.name,
         side=side,
         achieved_mean=poly.mean,
-        oracle_mean=oracle_mean(target, side, N, spec.table),
+        oracle_mean=oracle_mean(target, side, N),
         lp_mean=lp_mean,
         certified_margin=margin,
         repair_epsilon=repair + shift,
@@ -500,7 +492,7 @@ def _solve(key, spec) -> OneSidedResult:
     # reflected majorant -P(-theta); certification below stays independent
     odd_bernoulli = spec.name.startswith("bernoulli:") and int(spec.name.split(":")[1]) % 2
     if side == "minorant" and odd_bernoulli:
-        maj = construct_one_sided(target, "majorant", N, grid_points, spec.table)
+        maj = construct_one_sided(target, "majorant", N)
         flipped = TrigPoly(tuple(-a for a in maj.poly.cos), tuple(b for b in maj.poly.sin))
         certified = _certify_block([(flipped, spec, sgn, grid_points)])[0][:2]
         return _finish(key, spec, flipped, certified, -maj.lp_mean, maj.rounds, maj.constraints)
@@ -539,20 +531,19 @@ def _solve(key, spec) -> OneSidedResult:
     return _finish(key, spec, poly, (margin, worst), poly.mean, rounds, used)
 
 
-def block_one_sided(keys: list[tuple], table: BernoulliTable | None = None) -> list[OneSidedResult]:
-    """The one-sided polynomial of each key (target, side, N[, grid_points]),
-    as construct_one_sided builds it, in key order.
+def block_one_sided(keys: list[tuple]) -> list[OneSidedResult]:
+    """The one-sided polynomial of each key (target, side, N), as
+    construct_one_sided builds it, in key order.
 
     Cached keys are served from the cache.  The stored file's keys are
     certified together (_certify_block), then repaired and cached key by
     key; the remaining keys are solved one at a time.
     """
-    tbl = table or default_table()
     keys = [_cache_key(*key) for key in keys]
     with _CACHE_LOCK:
         done = {key: _CACHE[key] for key in keys if key in _CACHE}
     missing = [key for key in dict.fromkeys(keys) if key not in done]
-    specs = {target: target_spec(target, tbl) for target, *_ in missing}
+    specs = {target: target_spec(target) for target, *_ in missing}
     stored = [(key, entry) for key in missing if (entry := _stored_entry(key)) is not None]
     items = [
         (
@@ -574,23 +565,17 @@ def block_one_sided(keys: list[tuple], table: BernoulliTable | None = None) -> l
     return [done[key] for key in keys]
 
 
-def construct_one_sided(
-    target: str,
-    side: str,
-    N: int,
-    grid_points: int | None = None,
-    table: BernoulliTable | None = None,
-) -> OneSidedResult:
+def construct_one_sided(target: str, side: str, N: int) -> OneSidedResult:
     """Extremal-mean one-sided trigonometric polynomial of degree N: a
     block of one (block_one_sided).
 
     side is "majorant" (minimal mean above the target) or "minorant"
-    (maximal mean below it).  Results are cached per (target, side, N,
-    grid); construction is pure, so concurrent callers share the cache.
+    (maximal mean below it).  Results are cached per (target, side, N);
+    construction is pure, so concurrent callers share the cache.
     Keys in the stored file take its polynomial instead of solving; it is
     certified and repaired like a solved one.
     """
-    return block_one_sided([(target, side, N, grid_points)], table)[0]
+    return block_one_sided([(target, side, N)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -646,9 +631,7 @@ def _indicator(alpha, beta, thetas: np.ndarray) -> np.ndarray:
     return np.where(at_edge, 0.5, np.where(inside, 1.0, 0.0))
 
 
-def interval_poly_block(
-    intervals: list[tuple[float, float]], N: int, grid_points: int | None = None
-) -> list[tuple[TrigPoly, TrigPoly]]:
+def interval_poly_block(intervals: list[tuple[float, float]], N: int) -> list[tuple[TrigPoly, TrigPoly]]:
     """Minorant and majorant of the indicator of each interval (alpha,
     beta), all of degree N, certified together.
 
@@ -662,8 +645,8 @@ def interval_poly_block(
             raise ValueError(f"interval length must be in [0, 1], got {beta - alpha}")
     if not intervals:
         return []
-    lo = construct_one_sided("sawtooth", "minorant", N, grid_points)
-    hi = construct_one_sided("sawtooth", "majorant", N, grid_points)
+    lo = construct_one_sided("sawtooth", "minorant", N)
+    hi = construct_one_sided("sawtooth", "majorant", N)
     alphas = np.array([alpha for alpha, _ in intervals], dtype=float)
     betas = np.array([beta for _, beta in intervals], dtype=float)
     minors = _compose_intervals(lo.poly, alphas, betas)
@@ -672,10 +655,10 @@ def interval_poly_block(
     return list(zip(minors, majors))
 
 
-def interval_polys(alpha: float, beta: float, N: int, grid_points: int | None = None):
+def interval_polys(alpha: float, beta: float, N: int):
     """(minorant, majorant) of the indicator of [alpha, beta]: a block of
     one (interval_poly_block)."""
-    return interval_poly_block([(alpha, beta)], N, grid_points)[0]
+    return interval_poly_block([(alpha, beta)], N)[0]
 
 
 _INTERVAL_GRID = np.arange(4096) / 4096.0
@@ -765,11 +748,11 @@ class CoefficientReport:
         }
 
 
-def verify_coefficient_bounds(result: OneSidedResult, tol: float = 1e-6) -> CoefficientReport:
+def verify_coefficient_bounds(result: OneSidedResult) -> CoefficientReport:
     """Check the classical coefficient bounds on a constructed polynomial.
 
     For the log-sine majorant every nonzero frequency must satisfy
-    -1/(2|k|) - tol <= U-hat(k) <= tol; a violation is a hard failure
+    -1/(2|k|) - 1e-6 <= U-hat(k) <= 1e-6; a violation is a hard failure
     since it means the LP or the repair went wrong.  For Bernoulli
     targets the decay constant max_k |P-hat(k)| k^m is fitted and
     reported; no hard threshold exists for it.  The log-sine minorant has
@@ -784,7 +767,7 @@ def verify_coefficient_bounds(result: OneSidedResult, tol: float = 1e-6) -> Coef
             uk = poly.fourier(k)
             excess = max(uk.real - 0.0, (-1.0 / (2.0 * k)) - uk.real, abs(uk.imag))
             worst = max(worst, excess)
-            if excess > tol:
+            if excess > 1e-6:
                 ok = False
         if not ok:
             raise CertificationError(

@@ -19,7 +19,7 @@ import bound_oracle
 import zeros_oracle
 
 from hyperell.argfunc import zero_multiplicities
-from hyperell.bernoulli import BernoulliTable, default_table
+from hyperell.bernoulli import TABLE, BernoulliTable
 from hyperell.bounds import EmpiricalExtrema, envelope, parse_target
 from hyperell.charsum import Character
 from hyperell.lfunc import compute_lpolynomial
@@ -48,12 +48,11 @@ def periodic(table: BernoulliTable, n, x):
     return float(vals) if vals.ndim == 0 else vals
 
 
-def argument_sum(zeros, n, theta, table=None):
+def argument_sum(zeros, n, theta):
     """S_n(theta): the n-th normalized antiderivative of the argument sum."""
-    table = table or default_table()
     th = np.asarray(theta, dtype=float)
     diff = np.multiply.outer(th, np.ones(len(zeros.theta))) - np.asarray(zeros.theta)
-    vals = -periodic(table, n + 1, diff).sum(axis=-1) / math.factorial(n + 1)
+    vals = -periodic(TABLE, n + 1, diff).sum(axis=-1) / math.factorial(n + 1)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -155,9 +154,7 @@ def empirical_extrema(zeros, target, n, grid_size=2**14):
 
 def selected_bound(config, zeros, target, n, side, mode):
     """The bound at the degree the config's policy picks, from scratch."""
-    N = bound_oracle.choose_degree(
-        config.policy, config.q, config.d, target, n, side, mode, zeros, config.n_cap
-    )
+    N = bound_oracle.choose_degree(config.policy, config.q, config.d, target, n, side, mode, zeros)
     return bound_oracle.rigorous_bound(zeros, config.q, target, n, side, N, mode)
 
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperell.argfunc import (
-    SnEvaluator,
     antiderivative_constant,
     argument_sum,
     column_sums,
@@ -19,6 +18,7 @@ from hyperell.argfunc import (
     zero_multiplicities,
 )
 from hyperell.bernoulli import (
+    NMAX,
     BernoulliTable,
     bernoulli_envelope_constants,
     bernoulli_extrema,
@@ -63,7 +63,7 @@ def test_first_bernoulli_polynomials_exact():
 
 def test_derivative_recurrence_exact():
     # B'_(n+1) = (n+1) B_n as exact rational identities
-    for n in range(0, TABLE.nmax):
+    for n in range(0, NMAX):
         up = TABLE.coefficients(n + 1)
         deriv = tuple(k * up[k] for k in range(1, len(up)))
         expect = tuple((n + 1) * c for c in TABLE.coefficients(n))
@@ -71,7 +71,7 @@ def test_derivative_recurrence_exact():
 
 
 def test_telescoping_value_identity():
-    for n in range(2, TABLE.nmax + 1):
+    for n in range(2, NMAX + 1):
         assert TABLE.eval_exact(n, Fraction(1)) == TABLE.eval_exact(n, Fraction(0))
 
 
@@ -116,7 +116,7 @@ def test_periodic_matches_polyval_bit_for_bit():
         ]
     )
     with np.errstate(invalid="ignore"):
-        for n in range(TABLE.nmax + 1):
+        for n in range(NMAX + 1):
             got = TABLE.periodic(n, xs)
             want = extrema_oracle.periodic(TABLE, n, xs)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
@@ -421,9 +421,8 @@ def test_continuity_of_higher_orders(zeros_d5):
 
 def test_sn_evaluator(zeros_d5):
     _, zeros = zeros_d5[0]
-    ev = SnEvaluator(zeros, 1)
-    assert ev(0.3) == pytest.approx(argument_sum(zeros, 1, 0.3), abs=1e-15)
-    assert abs(ev.mean()) <= 1e-7
+    assert argument_sum(zeros, 1, 0.3) == argument_sum(zeros, 1, np.array([0.3]))[0]
+    assert abs(mean_value(zeros, 1)) <= 1e-7
 
 
 # --- zero counting -----------------------------------------------------------

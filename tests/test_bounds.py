@@ -678,6 +678,27 @@ def test_scan_workers_construct_nothing(monkeypatch):
     assert len(result.rows) == 40 * len(SCAN_TARGETS) and not result.violations
 
 
+# the chunks _failing_chunk ran in this process: a forked worker appends to
+# its own copy of the list
+_CHUNKS_RUN_HERE = []
+
+
+def _failing_chunk(encodings, config, layer):
+    _CHUNKS_RUN_HERE.append(len(encodings))
+    raise ValueError("a scan worker failed")
+
+
+def test_worker_failure_propagates_without_a_rerun(monkeypatch):
+    # a worker's exception reaches the caller once: the scanning process
+    # does not scan the moduli again itself
+    monkeypatch.setattr(bounds, "_scan_chunk", _failing_chunk)
+    _CHUNKS_RUN_HERE.clear()
+    assert len(_chunk_spans(40, 2)) > 1
+    with pytest.raises(ValueError, match="a scan worker failed"):
+        ensemble_scan(ScanConfig(q=3, d=5, sample="random:40", seed=17, threads=2))
+    assert _CHUNKS_RUN_HERE == []
+
+
 def test_scan_constructs_only_the_layer_keys(monkeypatch):
     # the formula picks one degree per order (N = 2 for every order at q = 5,
     # d = 5) and the scan certifies those constructions, no others

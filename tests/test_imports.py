@@ -99,3 +99,24 @@ def test_package_namespace():
     namespace = {}
     exec("from hyperell import onesided", namespace)
     assert namespace["onesided"] is importlib.import_module("hyperell.onesided")
+
+
+def test_benchmark_calls_resolve(monkeypatch):
+    # the benchmark builds scan configs and counts repeated zeros through
+    # the library's public names and keywords; one that is removed or
+    # renamed fails here, not only in the next benchmark run
+    from hyperell import Character, FieldSpec, Poly, compute_lpolynomial, find_zero_angles
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import probe
+    import workloads
+
+    scans = [wl for wl in workloads.workloads().values() if isinstance(wl, workloads.Scan)]
+    assert scans
+    for wl in scans:
+        config = wl.config(0)
+        assert (config.q, config.d, config.threads) == (wl.q, wl.d, wl.threads)
+    # an F_3 H_7 modulus whose L-polynomial has a double zero
+    D = Poly.make(FieldSpec(3), (1, 2, 1, 1, 0, 0, 0, 1))
+    zeros = find_zero_angles(compute_lpolynomial(Character(D)))
+    assert probe.count_tangential([zeros]) == 1

@@ -225,12 +225,6 @@ def test_q5_pipeline_smoke():
         assert zeros.count == 4
 
 
-def test_grid_factor_validation():
-    L = compute_lpolynomial(Character(Poly.make(F3, (1, 2, 0, 1))))
-    with pytest.raises(ValueError):
-        find_zero_angles(L, grid_factor=8)
-
-
 # --- block zero finder against the scalar oracle ---------------------------------
 
 # the moduli of F_3 H_7 whose L-polynomial has a repeated factor
@@ -282,5 +276,3 @@ def test_block_zero_finder_validation():
     assert block_zero_angles([]) == []
     with pytest.raises(ValueError):
         block_zero_angles([L5, L3])
-    with pytest.raises(ValueError):
-        block_zero_angles([L5], grid_factor=8)
