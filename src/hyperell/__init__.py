@@ -40,7 +40,7 @@ _EXPORTS = {
         "s0_bound_interval_method",
         "sample_moduli",
     ),
-    "charsum": ("Character", "lambda_sum", "residue_symbol"),
+    "charsum": ("Character", "point_sums"),
     "errors": (
         "CertificationError",
         "ConsistencyError",
@@ -53,19 +53,16 @@ _EXPORTS = {
     "fqpoly": (
         "FieldSpec",
         "Poly",
-        "PrimeTable",
-        "build_prime_table",
         "enumerate_Hd",
         "format_poly",
-        "get_prime_table",
         "is_squarefree",
-        "necklace_count",
         "parse_poly",
     ),
     "lfunc": (
         "CosineSeries",
         "LPolynomial",
         "ZeroAngles",
+        "block_lpolynomials",
         "compute_lpolynomial",
         "find_zero_angles",
         "power_sum",

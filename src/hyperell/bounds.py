@@ -32,7 +32,7 @@ from .bernoulli import bernoulli_envelope_constants
 from .charsum import Character
 from .errors import ConsistencyError
 from .fqpoly import FieldSpec, Poly, enumerate_Hd
-from .lfunc import ZeroAngles, block_zero_angles, compute_lpolynomial
+from .lfunc import ZeroAngles, block_lpolynomials, block_zero_angles
 from .onesided import block_one_sided, interval_poly_block
 
 TWO_PI = 2.0 * math.pi
@@ -668,7 +668,7 @@ def _scan_chunk(encodings: list[int], config: ScanConfig, layer: _BoundLayer):
     rows, violations = [], []
     for start in range(0, len(encodings), SCAN_BLOCK):
         moduli = [Poly.decode_monic(field, config.d, enc) for enc in encodings[start : start + SCAN_BLOCK]]
-        Ls = [compute_lpolynomial(Character(D)) for D in moduli]
+        Ls = block_lpolynomials([Character(D) for D in moduli])
         zero_sets = block_zero_angles(Ls)
         extrema = block_extrema(zero_sets, targets, config.grid_size)
         r, v = _scan_block(moduli, Ls, zero_sets, extrema, config, layer)

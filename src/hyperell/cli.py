@@ -3,10 +3,12 @@
 Four subcommands: lpoly (one modulus to JSON), scan (ensemble sweep to CSV
 plus a JSON manifest), extremal (one-sided polynomial coefficients plus
 certification), constants (the envelope-constant table).  Outcomes map to
-exit codes: 0 success, 2 bad input or a request over the enumeration
-budget, 3 internal consistency failure, 4 soundness violation (an
-empirical value above its rigorous bound), 5 certification or LP solver
-failure.  Every failure prints one line to stderr, never a traceback.
+exit codes: 0 success, 1 the reader closed standard output, 2 bad input
+or a request over the enumeration budget, 3 internal consistency failure,
+4 soundness violation (an empirical value above its rigorous bound), 5
+certification or LP solver failure.  Every failure but the closed pipe
+prints one line to stderr, never a traceback; the closed pipe prints
+nothing.
 
 Every command is deterministic given its flags (seeds included): reruns
 are byte-identical, and the scan's worker count (HYPERELL_THREADS) never
@@ -19,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from .lfunc import compute_lpolynomial, find_zero_angles, rh_radius_error
 # loads only the L-function layer.
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_INPUT = 2
 EXIT_CONSISTENCY = 3
 EXIT_SOUNDNESS = 4
@@ -385,7 +389,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output: silence the interpreter's
+        # final flush (Python's documented SIGPIPE recipe) and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

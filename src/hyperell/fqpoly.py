@@ -3,27 +3,28 @@
 Polynomials are dense coefficient tuples, lowest degree first, entries
 reduced to [0, q); the zero polynomial is the empty tuple.  Degrees never
 exceed a few dozen here, so every algorithm favors simplicity: schoolbook
-products, trial division, explicit sieves.
+products and remainders, square and multiply.
 
 Monic polynomials of degree m are also handled as integer encodings: the
 m non-leading coefficients read as base-q digits, constant term least
 significant.  Ascending encoding order is the enumeration order used
 everywhere (constant term varies fastest), which keeps streams, CSV rows
-and parallel partitions deterministic.
+and parallel partitions deterministic.  Elements of F_(q^k) = F_q[t]/(P)
+are encoded the same way, by their remainders mod P, and multiply through
+exp/log tables (extension_field).
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from typing import Iterator
 
 import numpy as np
 
 from .errors import (
-    ConsistencyError,
     FieldMismatchError,
     ResourceLimitError,
     UnsupportedDegreeError,
@@ -33,24 +34,18 @@ from .errors import (
 ENUMERATION_BUDGET = 30_000_000
 
 
-def _is_odd_prime(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-@lru_cache(maxsize=None)
-def _legendre_table(q: int) -> tuple[int, ...]:
-    half = (q - 1) // 2
-    t = [0] * q
-    for a in range(1, q):
-        t[a] = 1 if pow(a, half, q) == 1 else -1
-    return tuple(t)
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -62,18 +57,8 @@ class FieldSpec:
     def __post_init__(self):
         if not isinstance(self.q, int) or not (3 <= self.q < 2**31):
             raise ValueError(f"field size must be an integer in [3, 2^31), got {self.q!r}")
-        if not _is_odd_prime(self.q):
+        if _prime_factors(self.q) != [self.q]:
             raise ValueError(f"field size must be an odd prime, got {self.q}")
-
-    def legendre(self, a: int) -> int:
-        """Quadratic character of F_q: 0 on 0, else a^((q-1)/2) as +-1."""
-        a %= self.q
-        if self.q <= 65536:
-            return _legendre_table(self.q)[a]
-        if a == 0:
-            return 0
-        return 1 if pow(a, (self.q - 1) // 2, self.q) == 1 else -1
-
 
 # ---------------------------------------------------------------------------
 # Tuple-level helpers (hot paths avoid object churn)
@@ -386,166 +371,69 @@ def enumerate_Hd(field: FieldSpec, d: int) -> Iterator[Poly]:
 
 
 # ---------------------------------------------------------------------------
-# Prime tables
+# Extension fields F_{q^k} as exp/log tables
 # ---------------------------------------------------------------------------
 
-
-def divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+_SLICE = 1 << 18  # table entries per array operation of a build
 
 
-def _mobius(n: int) -> int:
-    mu, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    if n > 1:
-        mu = -mu
-    return mu
+def _first_primitive(field: FieldSpec, k: int) -> Poly:
+    """The first monic P of degree k, in encoding order, modulo which t has
+    order q^k - 1.  Then F_q[t]/(P) has q^k - 1 units, the powers of t, so
+    it is a field and P is irreducible."""
+    n = field.q**k - 1
+    t = Poly.x(field)
+    cofactors = [n // r for r in _prime_factors(n)]
+    for index in count():  # one always exists; decode_monic stops a runaway
+        P = Poly.decode_monic(field, k, index)
+        if t.pow_mod(n, P).coeffs == (1,) and all(t.pow_mod(e, P).coeffs != (1,) for e in cofactors):
+            return P
 
 
-def necklace_count(q: int, m: int) -> int:
-    """Number of monic irreducibles of degree m over F_q."""
-    total = sum(_mobius(e) * q ** (m // e) for e in divisors(m))
-    if total % m:
-        raise ConsistencyError(f"necklace sum not divisible by {m}")
-    return total // m
+def _times(a: np.ndarray, h: tuple, P: tuple, q: int) -> np.ndarray:
+    """Encodings of a*h in F_q[t]/(P): a is an array of encodings, h one
+    element as a coefficient tuple."""
+    k = len(P) - 1
+    M = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        row = _mod(_mul(h, (0,) * i + (1,), q), P, q)  # h t^i mod P
+        M[i, : len(row)] = row
+    weights = q ** np.arange(k, dtype=np.int64)
+    return (a[:, None].astype(np.int64) // weights % q) @ M % q @ weights
 
 
-class PrimeTable:
-    """Monic irreducible polynomials over F_q, listed per degree up to a cap.
+@lru_cache(maxsize=None)
+def extension_field(q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exp and log tables of F_{q^k} = F_q[t]/(P), as read-only int32
+    arrays; the caller bounds q^k by ENUMERATION_BUDGET.
 
-    Each degree block is a sorted int64 array of monic encodings; Poly
-    objects are decoded lazily.  Block counts are verified against the
-    necklace formula at construction.
+    P is the first primitive monic of degree k in encoding order, so t
+    generates the multiplicative group, of order n = q^k - 1.  An element
+    is encoded like a monic index: the coefficients of its remainder mod P
+    as base-q digits, constant term least significant.  F_q is the
+    encodings 0..q-1, and adding c in F_q changes the lowest digit only.
+    exp[i] = t^(i mod n) for i < 2n and exp[2n] = 0; log[a] is the
+    exponent of a != 0 and log[0] = 2n.  So a*b = exp[min(log a + log b, 2n)]
+    for all a, b, and the quadratic character of a != 0 is (-1)^(log a).
     """
-
-    def __init__(self, field: FieldSpec, cap: int, blocks: list[np.ndarray]):
-        self.field = field
-        self.cap = cap
-        self._blocks = blocks
-
-    @property
-    def q(self) -> int:
-        return self.field.q
-
-    def _block(self, m: int) -> np.ndarray:
-        if m < 1:
-            raise ValueError(f"prime degree must be >= 1, got {m}")
-        if m > self.cap:
-            raise ResourceLimitError(
-                f"prime table capped at degree {self.cap}, need {m}", degree=m
-            )
-        return self._blocks[m]
-
-    def count(self, m: int) -> int:
-        return int(self._block(m).size)
-
-    def primes(self, m: int) -> Iterator[Poly]:
-        for idx in self._block(m):
-            yield Poly.decode_monic(self.field, m, int(idx))
-
-    def is_irreducible(self, f: Poly) -> bool:
-        if not f.is_monic:
-            return False
-        m = f.degree
-        if m < 1:
-            return False
-        block = self._block(m)
-        idx = f.monic_index()
-        pos = int(np.searchsorted(block, idx))
-        return pos < block.size and int(block[pos]) == idx
-
-
-def _digit_matrix(q: int, n: int) -> np.ndarray:
-    size = q**n
-    out = np.empty((size, n), dtype=np.int16)
-    r = np.arange(size, dtype=np.int64)
-    for t in range(n):
-        out[:, t] = (r % q).astype(np.int16)
-        r = r // q
-    return out
-
-
-def _mark_products(p: tuple[int, ...], digits: np.ndarray, q: int, m: int, a: int) -> np.ndarray:
-    """Encodings of p*h for a fixed prime p of degree a and all monic h of degree m-a."""
-    k = digits.shape[0]
-    idx = np.zeros(k, dtype=np.int64)
-    qpow = 1
-    for i in range(m):
-        acc = np.zeros(k, dtype=np.int64)
-        for j in range(max(0, i - (m - a)), min(a, i) + 1):
-            pj = p[j]
-            if not pj:
-                continue
-            t = i - j
-            if t < m - a:
-                acc += pj * digits[:, t].astype(np.int64)
-            else:
-                acc += pj  # h is monic: coefficient of x^(m-a) is 1
-        idx += (acc % q) * qpow
-        qpow *= q
-    return idx
-
-
-def build_prime_table(field: FieldSpec, max_degree: int) -> PrimeTable:
-    """Sieve all monic irreducibles of degree <= max_degree over F_q.
-
-    A degree-m composite always has a prime factor of degree <= m//2, so
-    marking every product prime*monic covers all composites; the survivors
-    are the primes.  Counts are checked against the necklace formula.
-    """
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    q = field.q
-    if q**max_degree > ENUMERATION_BUDGET:
-        raise ResourceLimitError(
-            f"prime sieve at degree {max_degree} over F_{q} exceeds the budget",
-            degree=max_degree,
-        )
-    blocks: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    for m in range(1, max_degree + 1):
-        composite = np.zeros(q**m, dtype=bool)
-        for a in range(1, m // 2 + 1):
-            digits = _digit_matrix(q, m - a)
-            for enc in blocks[a]:
-                p = _decode_tuple(q, a, int(enc))
-                composite[_mark_products(p, digits, q, m, a)] = True
-        enc = np.flatnonzero(~composite).astype(np.int64)
-        expected = necklace_count(q, m)
-        if enc.size != expected:
-            raise ConsistencyError(
-                f"prime sieve found {enc.size} degree-{m} irreducibles over F_{q}, "
-                f"necklace formula gives {expected}"
-            )
-        blocks.append(enc)
-    return PrimeTable(field, max_degree, blocks)
-
-
-def _decode_tuple(q: int, degree: int, index: int) -> tuple[int, ...]:
-    cs = []
-    t = index
-    for _ in range(degree):
-        cs.append(t % q)
-        t //= q
-    cs.append(1)
-    return tuple(cs)
-
-
-_TABLE_LOCK = threading.Lock()
-_TABLES: dict[int, PrimeTable] = {}
-
-
-def get_prime_table(field: FieldSpec, min_cap: int) -> PrimeTable:
-    """Shared per-field prime table, grown on demand (populate once)."""
-    with _TABLE_LOCK:
-        table = _TABLES.get(field.q)
-        if table is None or table.cap < min_cap:
-            table = build_prime_table(field, min_cap)
-            _TABLES[field.q] = table
-        return table
+    field = FieldSpec(q)
+    P = _first_primitive(field, k)
+    n = q**k - 1
+    exp = np.empty(2 * n + 1, dtype=np.int32)
+    exp[0] = 1
+    size = 1
+    while size < n:  # exp[size : 2 size] = exp[:size] * t^size
+        h = Poly.x(field).pow_mod(size, P).coeffs
+        grow = min(size, n - size)
+        for lo in range(0, grow, _SLICE):
+            hi = min(lo + _SLICE, grow)
+            exp[size + lo : size + hi] = _times(exp[lo:hi], h, P.coeffs, q)
+        size += grow
+    exp[n : 2 * n] = exp[:n]
+    exp[2 * n] = 0
+    log = np.empty(n + 1, dtype=np.int32)
+    log[exp[:n]] = np.arange(n, dtype=np.int32)
+    log[0] = 2 * n
+    exp.flags.writeable = False
+    log.flags.writeable = False
+    return exp, log

@@ -2,12 +2,12 @@
 
 The polynomial L(u) = sum over monic f of chi(f) u^(deg f) attached to a
 character has exact integer coefficients c_0..c_2g, and the functional
-equation forces c_(2g-k) = q^(g-k) c_k.  The coefficients are not summed
-directly over all monic polynomials: by the Euler product,
-L(u) = exp(sum_k s_k u^k / k) with the twisted prime power sums
-s_k = sum_{deg f = k} chi(f) Lambda(f), so c_1..c_g follow from s_1..s_g
-by the Newton identities and the symmetry gives the rest.  Only primes of
-degree <= g are ever enumerated.
+equation forces c_(2g-k) = q^(g-k) c_k.  L(u) is the numerator of the
+zeta function of the curve y^2 = D(x), so log L(u) = sum_k s_k u^k / k
+with the point sums s_k = sum over x in F_(q^k) of chi_k(D(x))
+(charsum.point_sums).  The Newton identities give c_1..c_g from s_1..s_g,
+and the symmetry gives the rest, so only the fields F_(q^k) with k <= g
+are ever counted.
 
 All zeros lie on |u| = q^(-1/2), so with u = q^(-1/2) e(theta) the real
 trigonometric polynomial
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charsum import Character
+from .charsum import Character, point_sums
 from .errors import ConsistencyError, RootIsolationError
-from .fqpoly import Poly, get_prime_table
+from .fqpoly import Poly
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,30 +87,38 @@ class LPolynomial:
         return acc
 
 
-def compute_lpolynomial(char: Character) -> LPolynomial:
-    """Assemble L(u) from the Euler product and the functional equation.
+def block_lpolynomials(chars: list[Character]) -> list[LPolynomial]:
+    """L(u) of every character of a block of one field and degree, from
+    the point sums and the functional equation.
 
-    The twisted sums s_1..s_g over primes of degree <= g give c_1..c_g by
-    the exact integer Newton identities k c_k = sum_{i=1..k} s_i c_(k-i);
-    the upper half is filled by c_(2g-k) = q^(g-k) c_k.  The constructor
-    then checks the Weil bound on every c_k, which the symmetry fill does
-    not make true by construction.
+    The point sums s_1..s_g of the whole block (charsum.point_sums) give
+    c_1..c_g by the exact integer Newton identities
+    k c_k = sum_{i=1..k} s_i c_(k-i); the upper half is filled by
+    c_(2g-k) = q^(g-k) c_k.  The LPolynomial constructor then checks the
+    Weil bound on every c_k, which the symmetry fill does not make true by
+    construction.  Every c_k is an exact integer, whatever the block.
     """
-    g, q = char.g, char.q
-    if g == 0:
-        return LPolynomial(char.D, (1,))
-    table = get_prime_table(char.field, g)
-    s = [0] + [char.twisted_lambda_sum(k, table) for k in range(1, g + 1)]
-    c = [1]
-    for k in range(1, g + 1):
-        ck, rem = divmod(sum(s[i] * c[k - i] for i in range(1, k + 1)), k)
-        if rem:
-            raise ConsistencyError(
-                f"Newton identity leaves remainder {rem} at k={k} (D = {char.D})"
-            )
-        c.append(ck)
-    c += [q ** (g - k) * c[k] for k in range(g - 1, -1, -1)]
-    return LPolynomial(char.D, tuple(c))
+    out = []
+    for char, sums in zip(chars, point_sums(chars).tolist()):
+        g, q = char.g, char.q
+        s = [0] + sums
+        c = [1]
+        for k in range(1, g + 1):
+            ck, rem = divmod(sum(s[i] * c[k - i] for i in range(1, k + 1)), k)
+            if rem:
+                raise ConsistencyError(
+                    f"Newton identity leaves remainder {rem} at k={k} (D = {char.D})"
+                )
+            c.append(ck)
+        c += [q ** (g - k) * c[k] for k in range(g - 1, -1, -1)]
+        out.append(LPolynomial(char.D, tuple(c)))
+    return out
+
+
+def compute_lpolynomial(char: Character) -> LPolynomial:
+    """L(u) of one character by point counting: a block of one
+    (block_lpolynomials)."""
+    return block_lpolynomials([char])[0]
 
 
 class CosineSeries:

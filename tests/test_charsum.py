@@ -1,13 +1,26 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
-from charsum_oracle import chi_block, coefficient_sum, euler_symbol_prime
+from charsum_oracle import (
+    build_prime_table,
+    chi,
+    chi_block,
+    coefficient_sum,
+    euler_symbol_prime,
+    get_prime_table,
+    lambda_sum,
+    legendre,
+    residue_symbol,
+    twisted_lambda_sum,
+)
 from hypothesis import given, settings, strategies as st
 
-from hyperell.charsum import Character, lambda_sum, residue_symbol
-from hyperell.errors import UnsupportedDegreeError
-from hyperell.fqpoly import FieldSpec, Poly, build_prime_table, get_prime_table
+from hyperell import charsum
+from hyperell.charsum import Character, point_sums
+from hyperell.errors import ResourceLimitError, UnsupportedDegreeError
+from hyperell.fqpoly import FieldSpec, Poly, _first_primitive, enumerate_Hd, extension_field
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -97,8 +110,8 @@ def test_symbol_against_euler_criterion_all_small_primes(table3):
 
 @pytest.mark.parametrize("q", [65537, 65539])  # 1 and 3 mod 4
 def test_symbol_against_euler_criterion_above_the_table_threshold(q):
-    # F_q symbols above 65,536 elements come from Euler's criterion on
-    # F_q rather than a table; moduli of degree 1 to 3, non-monic numerators
+    # large fields, on either side of 65,536 elements; moduli of degree 1
+    # to 3, non-monic numerators
     field = FieldSpec(q)
     rng = random.Random(q)
     x = Poly.x(field)
@@ -107,7 +120,7 @@ def test_symbol_against_euler_criterion_above_the_table_threshold(q):
         cand = Poly.make(field, [rng.randrange(q) for _ in range(3)] + [1])
         if (x.pow_mod(q, cand) - x).gcd(cand).degree == 0:  # a cubic without roots
             primes.append(cand)
-    nonresidue = next(a for a in range(2, q) if field.legendre(a) == -1)
+    nonresidue = next(a for a in range(2, q) if legendre(q, a) == -1)
     primes += [x - Poly.make(field, [a]) for a in (0, 1, 12345, q - 1)]
     primes.append(x * x - Poly.make(field, [nonresidue]))
     for p in primes:
@@ -174,8 +187,6 @@ def test_lambda_sum_is_qk():
 
 
 def first_squarefree(field, d):
-    from hyperell.fqpoly import enumerate_Hd
-
     return next(enumerate_Hd(field, d))
 
 
@@ -186,47 +197,47 @@ def test_character_validation():
         Character(Poly.make(F3, (1, 0, 1)))  # even degree rejected
     with pytest.raises(ValueError):
         Character(Poly.make(F3, (1, 1, 0, 2)))  # not monic
-    chi = Character(Poly.make(F3, (1, 2, 0, 1)))  # x^3+2x+1
-    assert chi.g == 1 and chi.d == 3
+    char = Character(Poly.make(F3, (1, 2, 0, 1)))  # x^3+2x+1
+    assert char.g == 1 and char.d == 3
 
 
 def test_chi_basics():
-    chi = Character(Poly.make(F3, (1, 2, 0, 1)))
-    assert chi.chi(Poly.one(F3)) == 1
+    char = Character(Poly.make(F3, (1, 2, 0, 1)))
+    assert chi(char, Poly.one(F3)) == 1
     # chi(P) = 0 iff P divides D: D = x^3+2x+1 is prime, linears never divide
     for a in range(3):
-        assert chi.chi(Poly.make(F3, (a, 1))) != 0
-    chiD = Character(first_squarefree(F3, 3))  # x^3+x = x(x^2+1)
-    assert chiD.chi(Poly.x(F3)) == 0
-    assert chiD.chi(Poly.make(F3, (1, 0, 1))) == 0
+        assert chi(char, Poly.make(F3, (a, 1))) != 0
+    charD = Character(first_squarefree(F3, 3))  # x^3+x = x(x^2+1)
+    assert chi(charD, Poly.x(F3)) == 0
+    assert chi(charD, Poly.make(F3, (1, 0, 1))) == 0
 
 
 def test_chi_matches_euler_criterion(table3):
-    chi = Character(Poly.make(F3, (1, 2, 0, 1)))
+    char = Character(Poly.make(F3, (1, 2, 0, 1)))
     for m in range(1, 4):
         for p in table3.primes(m):
-            assert chi.chi(p) == euler_symbol_prime(chi.D, p)
+            assert chi(char, p) == euler_symbol_prime(char.D, p)
 
 
 def test_chi_block_matches_pointwise(table3):
-    chi = Character(first_squarefree(F3, 5))
+    char = Character(first_squarefree(F3, 5))
     for k in range(0, 5):
-        block = chi_block(chi, k)
+        block = chi_block(char, k)
         for idx in range(3**k):
             f = Poly.decode_monic(F3, k, idx)
-            assert block[idx] == brute_symbol(chi.D, f, table3)
+            assert block[idx] == brute_symbol(char.D, f, table3)
 
 
 def test_coefficient_sum_examples(table3):
-    chi = Character(first_squarefree(F3, 3))  # D = x^3+x, g = 1
-    assert coefficient_sum(chi, 0) == 1
+    char = Character(first_squarefree(F3, 3))  # D = x^3+x, g = 1
+    assert coefficient_sum(char, 0) == 1
     # hand computation: chi(x+a) = legendre(D(-a)) gives 0, +1, -1
-    assert coefficient_sum(chi, 1) == 0
+    assert coefficient_sum(char, 1) == 0
     # degree-2g polynomial: sums vanish beyond k = 2g
     for k in range(3, 7):
-        assert coefficient_sum(chi, k) == 0
+        assert coefficient_sum(char, k) == 0
     for k in range(0, 6):
-        assert abs(coefficient_sum(chi, k)) <= 3**k
+        assert abs(coefficient_sum(char, k)) <= 3**k
 
 
 def test_coefficient_sum_vanishes_beyond_2g_randomized():
@@ -234,43 +245,124 @@ def test_coefficient_sum_vanishes_beyond_2g_randomized():
     import random
 
     rng = random.Random(20240817)
-    from hyperell.fqpoly import enumerate_Hd
-
     pool = list(enumerate_Hd(F3, 5))
     for D in rng.sample(pool, 50):
-        chi = Character(D)
-        for k in range(2 * chi.g + 1, 2 * chi.g + 5):
-            assert coefficient_sum(chi, k) == 0, str(D)
+        char = Character(D)
+        for k in range(2 * char.g + 1, 2 * char.g + 5):
+            assert coefficient_sum(char, k) == 0, str(D)
 
 
-def brute_twisted_lambda_sum(chi, k, table):
+def brute_twisted_lambda_sum(char, k, table):
     """Direct sum over all monic f of degree k with a factorization oracle."""
     total = 0
-    for idx in range(chi.q**k):
-        f = Poly.decode_monic(chi.field, k, idx)
+    for idx in range(char.q**k):
+        f = Poly.decode_monic(char.field, k, idx)
         factors = factorize(f, table)
         if len({p.coeffs for p in factors}) != 1:
             continue  # Lambda vanishes unless f is a prime power
         p = factors[0]
-        total += p.degree * brute_symbol(chi.D, f, table)
+        total += p.degree * brute_symbol(char.D, f, table)
     return total
 
 
 def test_twisted_lambda_sum_brute_force(table3):
-    chi = Character(Poly.make(F3, (1, 2, 0, 1)))
-    values = [chi.twisted_lambda_sum(k) for k in (1, 2, 3)]
-    assert values == [brute_twisted_lambda_sum(chi, k, table3) for k in (1, 2, 3)]
+    char = Character(Poly.make(F3, (1, 2, 0, 1)))
+    values = [twisted_lambda_sum(char, k) for k in (1, 2, 3)]
+    assert values == [brute_twisted_lambda_sum(char, k, table3) for k in (1, 2, 3)]
     # hand-checked anchors for D = x^3+2x+1: all three chi(x+a) equal +1
     assert values[0] == 3
 
 
 def test_twisted_lambda_sum_triangle(table5):
-    chi = Character(first_squarefree(F5, 3))
+    char = Character(first_squarefree(F5, 3))
     for k in (1, 2, 3, 4):
-        assert abs(chi.twisted_lambda_sum(k)) <= 5**k
+        assert abs(twisted_lambda_sum(char, k)) <= 5**k
 
 
 def test_twisted_k1_is_linear_character_sum():
-    chi = Character(first_squarefree(F5, 5))
-    direct = sum(chi.chi(Poly.make(F5, (a, 1))) for a in range(5))
-    assert chi.twisted_lambda_sum(1) == direct
+    char = Character(first_squarefree(F5, 5))
+    direct = sum(chi(char, Poly.make(F5, (a, 1))) for a in range(5))
+    assert twisted_lambda_sum(char, 1) == direct
+
+
+# --- point counting over F_(q^k) ----------------------------------------------
+
+
+def _encode(r, q):
+    return sum(c * q**j for j, c in enumerate(r.coeffs))
+
+
+def _order_of_t(P):
+    """Multiplicative order of t mod P, or 0 when no power of t is 1."""
+    t, power = Poly.x(P.field), Poly.one(P.field) % P
+    for i in range(1, P.q**P.degree):
+        power = power * t % P
+        if power == Poly.one(P.field):
+            return i
+    return 0
+
+
+@pytest.mark.parametrize("q,k", [(3, 1), (3, 2), (3, 4), (5, 1), (5, 2), (7, 2), (11, 1)])
+def test_extension_field_tables(q, k):
+    field = FieldSpec(q)
+    exp, log = extension_field(q, k)
+    n = q**k - 1
+    P = _first_primitive(field, k)
+    assert P.is_monic and P.degree == k and _order_of_t(P) == n
+    # the first such P in encoding order
+    assert all(_order_of_t(Poly.decode_monic(field, k, i)) != n for i in range(P.monic_index()))
+    # exp against the powers of t by polynomial arithmetic mod P
+    power = Poly.one(field)
+    for i in range(n):
+        assert exp[i] == exp[n + i] == _encode(power, q)
+        power = power * Poly.x(field) % P
+    assert exp[2 * n] == 0 and log[0] == 2 * n and len(log) == n + 1
+    assert (log[exp[:n]] == np.arange(n)).all()
+    # a product through the tables, a zero factor included, and F_q inside
+    rng = random.Random(q * k)
+    for _ in range(50):
+        a, b = rng.randrange(n + 1), rng.randrange(n + 1)
+        fa = Poly.make(field, [a // q**j % q for j in range(k)])
+        fb = Poly.make(field, [b // q**j % q for j in range(k)])
+        assert exp[min(log[a] + log[b], 2 * n)] == _encode(fa * fb % P, q)
+    for a in range(q):
+        assert exp[min(log[a] + log[a], 2 * n)] == a * a % q
+    assert not exp.flags.writeable and not log.flags.writeable
+
+
+@pytest.mark.parametrize("q,d", [(3, 5), (3, 7), (5, 5), (7, 3)])
+def test_point_sums_match_twisted_sums(q, d):
+    # s_k over F_(q^k) equals the twisted prime-power sum of the Euler
+    # product, for every k <= g, a block at a time
+    moduli = random.Random(q + d).sample(list(enumerate_Hd(FieldSpec(q), d)), 20)
+    chars = [Character(D) for D in moduli]
+    s = point_sums(chars)
+    assert s.shape == (20, (d - 1) // 2) and s.dtype == np.int64
+    for char, row in zip(chars, s.tolist()):
+        assert row == [twisted_lambda_sum(char, k) for k in range(1, char.g + 1)], str(char.D)
+
+
+def test_point_sums_do_not_depend_on_the_chunking(monkeypatch):
+    chars = [Character(D) for D in list(enumerate_Hd(F3, 7))[:20]]
+    want = point_sums(chars)
+    monkeypatch.setattr(charsum, "_WORK", 50)  # chunks of 2 points, the last of a field 1
+    assert (point_sums(chars) == want).all()
+    monkeypatch.setattr(charsum, "_WORK", 1)
+    assert (point_sums(chars[:3]) == want[:3]).all()
+
+
+def test_point_sums_budget_is_checked_before_any_table():
+    # F_(7^9) has over 3*10^7 elements; nothing may be built for it
+    char = Character(Poly.make(FieldSpec(7), [1, 1] + [0] * 17 + [1]))
+    before = extension_field.cache_info().currsize
+    with pytest.raises(ResourceLimitError):
+        point_sums([char])
+    assert extension_field.cache_info().currsize == before
+
+
+def test_point_sums_validation():
+    cubic = Character(Poly.make(F3, (1, 2, 0, 1)))
+    assert point_sums([]).shape == (0, 0)
+    assert point_sums([Character(Poly.make(F5, (2, 1)))]).shape == (1, 0)  # genus 0
+    with pytest.raises(ValueError):
+        point_sums([cubic, Character(Poly.make(F5, (1, 2, 0, 1)))])

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -32,7 +35,7 @@ def test_lpoly_rejects_even_degree():
 
 
 def test_lpoly_large_degree():
-    # d = 17 needs primes of degree <= 8 only
+    # d = 17 counts points over F_(3^k) for k <= 8 only
     proc = run_cli("lpoly", "--q", "3", "--D", "x^17+2x+1")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
@@ -45,20 +48,66 @@ def test_lpoly_large_degree():
 
 
 def test_lpoly_over_budget_exits_2():
-    # the prime table at degree 9 over F_7 is over the enumeration budget
+    # F_(7^9), the field of the point sum s_9, is over the enumeration budget
     proc = run_cli("lpoly", "--q", "7", "--D", "x^19+x+1")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
 
 
+def _env():
+    return dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+# Runs `python -m hyperell ARGS` in a fork of a bare interpreter and prints
+# the child's peak RSS (KB on Linux) as the last line of stderr.  Linux
+# carries a process's peak from before its exec into the program it
+# execs, so a child forked from the test runner would report the runner's.
+_PEAK_RSS = (
+    "import os, sys\n"
+    "pid = os.fork()\n"
+    "if not pid:\n"
+    "    os.execv(sys.executable, [sys.executable, '-m', 'hyperell', *sys.argv[1:]])\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(usage.ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(os.waitstatus_to_exitcode(status))\n"
+)
+
+
+def test_lpoly_large_field_is_fast_and_small():
+    # d = 3 over F_1000003 counts the points of one field of q elements;
+    # a degree-1 prime sieve with one symbol descent per prime took about
+    # 10 s and 180 MB on a 2-vCPU Xeon
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _PEAK_RSS, "lpoly", "--q", "1000003", "--D", "x^3+x+1"],
+        capture_output=True, text=True, env=_env(), timeout=300,
+    )
+    elapsed = time.perf_counter() - start
+    *errors, peak = proc.stderr.splitlines()
+    assert proc.returncode == 0 and not errors, proc.stderr
+    assert json.loads(proc.stdout)["c"] == [1, 723, 1000003]
+    assert elapsed < 5.0
+    assert int(peak) / (2**20 if sys.platform == "darwin" else 2**10) < 150  # MB
+
+
 def test_lpoly_huge_field_exits_2():
-    # F_q has no symbol table above 65,536 elements; the degree-1 prime
-    # table is what runs over the budget
+    # F_q itself is over the budget of 3*10^7 field elements
     proc = run_cli("lpoly", "--q", "2147483647", "--D", "x^3+x+1")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_1_quietly():
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child writes
+    proc = subprocess.Popen([sys.executable, "-m", "hyperell", "lpoly", "--q", "3", "--D", "x^3+2x+1"],
+                            stdout=write, stderr=subprocess.PIPE, env=_env())
+    os.close(write)
+    err = proc.communicate(timeout=300)[1]
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_lpoly_rejects_bad_inputs():

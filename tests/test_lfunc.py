@@ -4,15 +4,16 @@ import random
 import numpy as np
 import pytest
 import zeros_oracle
-from charsum_oracle import direct_coefficients
+from charsum_oracle import direct_coefficients, euler_coefficients, twisted_lambda_sum
 
 from hyperell.charsum import Character
 from hyperell.errors import ConsistencyError
 from hyperell.bounds import SCAN_BLOCK
-from hyperell.fqpoly import FieldSpec, Poly, enumerate_Hd
+from hyperell.fqpoly import FieldSpec, Poly, enumerate_Hd, is_squarefree
 from hyperell.lfunc import (
     LPolynomial,
     ZeroAngles,
+    block_lpolynomials,
     block_zero_angles,
     compute_lpolynomial,
     find_zero_angles,
@@ -65,13 +66,63 @@ def test_genus_one_weil_bound():
         assert abs(L.c[1]) <= 2 * math.sqrt(3) + 1e-12
 
 
-def test_euler_product_matches_direct_sums():
-    # every c_k, the symmetry-filled upper half included, against direct
-    # summation of chi over all monic polynomials of degree k
-    for q, d in ((3, 3), (3, 5), (5, 3), (7, 3)):
-        for D in enumerate_Hd(FieldSpec(q), d):
-            char = Character(D)
-            assert compute_lpolynomial(char).c == direct_coefficients(char), str(D)
+def _seeded_moduli(q, d, count, seed):
+    """count distinct monic squarefree moduli of degree d, drawn by index."""
+    field, rng, out = FieldSpec(q), random.Random(seed), {}
+    while len(out) < count:
+        D = Poly.decode_monic(field, d, rng.randrange(q**d))
+        if is_squarefree(D):
+            out[D.monic_index()] = D
+    return list(out.values())
+
+
+# (q, d, sample size or None for all of H_d, oracle): direct character sums
+# where they take well under a second per modulus, else the Euler product
+ORACLE_CASES = {
+    "F3 H3": (3, 3, None, direct_coefficients),
+    "F3 H5": (3, 5, None, direct_coefficients),
+    "F3 H7": (3, 7, None, direct_coefficients),
+    "F5 H3": (5, 3, None, direct_coefficients),
+    "F5 H5": (5, 5, None, direct_coefficients),
+    "F7 H3": (7, 3, None, direct_coefficients),
+    "F11 H3": (11, 3, None, direct_coefficients),
+    "F13 H3": (13, 3, None, direct_coefficients),
+    "F3 H9": (3, 9, 24, direct_coefficients),
+    "F3 H11": (3, 11, 40, euler_coefficients),
+    "F3 H13": (3, 13, 40, euler_coefficients),
+    "F5 H7": (5, 7, 24, direct_coefficients),
+    "F7 H5": (7, 5, 40, direct_coefficients),
+    "F10007 H3": (10007, 3, 20, euler_coefficients),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_lpolynomials_match_the_oracle(name):
+    # every c_k, the symmetry-filled upper half included, equals its oracle
+    # value, in blocks of SCAN_BLOCK (a partial last one included) and in
+    # blocks of one
+    q, d, count, oracle = ORACLE_CASES[name]
+    if count is None:
+        moduli = list(enumerate_Hd(FieldSpec(q), d))
+    else:
+        moduli = _seeded_moduli(q, d, count, seed=q * 100 + d)
+    assert len(moduli) % SCAN_BLOCK
+    chars = [Character(D) for D in moduli]
+    blocked = []
+    for start in range(0, len(chars), SCAN_BLOCK):
+        blocked.extend(block_lpolynomials(chars[start : start + SCAN_BLOCK]))
+    for char, L in zip(chars, blocked):
+        assert L.D == char.D
+        assert L.c == oracle(char) == compute_lpolynomial(char).c, str(char.D)
+
+
+def test_block_lpolynomials_validation():
+    cubic = Character(Poly.make(F3, (1, 2, 0, 1)))
+    assert block_lpolynomials([]) == []
+    with pytest.raises(ValueError):
+        block_lpolynomials([cubic, Character(Poly.make(F3, (1, 2, 0, 0, 0, 1)))])
+    with pytest.raises(ValueError):
+        block_lpolynomials([cubic, Character(Poly.make(F5, (1, 2, 0, 1)))])
 
 
 def test_genus_zero_is_constant():
@@ -194,7 +245,7 @@ def test_exact_double_zero_is_detected():
     for k in range(1, 7):
         chi = Character(D)
         lhs = 3 ** (k / 2.0) * (-power_sum(zeros, -k))
-        assert lhs == pytest.approx(chi.twisted_lambda_sum(k), abs=1e-8)
+        assert lhs == pytest.approx(twisted_lambda_sum(chi, k), abs=1e-8)
 
 
 def test_power_sum_matches_twisted_lambda(sample_d5):
@@ -203,7 +254,7 @@ def test_power_sum_matches_twisted_lambda(sample_d5):
         L, zeros = pipeline(D)
         for k in range(1, 7):
             lhs = L.q ** (k / 2.0) * (-power_sum(zeros, -k))
-            assert lhs == pytest.approx(chi.twisted_lambda_sum(k), abs=1e-8)
+            assert lhs == pytest.approx(twisted_lambda_sum(chi, k), abs=1e-8)
 
 
 def test_power_sum_bounds_and_symmetry(sample_d5):
