@@ -22,16 +22,16 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import permutations, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .argfunc import column_sums, fractional_parts, jump_limits, zero_sums
-from .bernoulli import bernoulli_envelope_constants
+from .bernoulli import TABLE, bernoulli_envelope_constants
 from .charsum import Character
-from .errors import ConsistencyError
-from .fqpoly import FieldSpec, Poly, enumerate_Hd
+from .errors import ConsistencyError, ResourceLimitError
+from .fqpoly import ENUMERATION_BUDGET, FieldSpec, Poly, enumerate_Hd
 from .lfunc import ZeroAngles, block_lpolynomials, block_zero_angles
 from .onesided import block_one_sided, interval_poly_block
 
@@ -43,7 +43,12 @@ DEFAULT_N_CAP = 8
 SCAN_TARGETS = ("logmod", "s:0", "s:1", "s:2")
 SCAN_BLOCK = 16  # moduli whose extrema a scan computes together
 _GRID_SLICE = 2048  # grid rows per fractional-part matrix
-_CELLS = 8  # golden-section lanes per (modulus, target, side)
+_CELLS = 8  # grid cells _top_cells picks per (modulus, target, side)
+_COARSE = 16  # grid step of the coarse pass of block_extrema
+_CELL_EPS = 1e-12  # rounding allowance of a cell bound, per zero angle
+_NEAR_ZERO = 1e-6  # log|L| cells this close to a zero angle are always evaluated
+_MAX_TIED = 6  # unblocked equal values one level may order, past which a triple runs slow
+_MAX_STATES = 64  # reachable pick sets per triple, past which it runs slow
 
 
 def parse_target(tag: str) -> tuple[str, int | None]:
@@ -274,7 +279,8 @@ def _vector_golden_max(f, centers: np.ndarray, half_width: float):
 
 def _top_cells(vals: np.ndarray) -> np.ndarray:
     """The indices of the _CELLS largest values, at least 4 apart, greedily
-    from the largest."""
+    from the largest, in the order of np.argsort: the picks the pruned grid
+    of block_extrema reproduces, taken from a full grid on its slow path."""
     order = np.argsort(vals)[::-1]
     picked: list[int] = []
     for idx in order:
@@ -320,6 +326,300 @@ def _s0_extrema(zeros: ZeroAngles, grid: np.ndarray) -> EmpiricalExtrema:
     )
 
 
+def _pick_sets(idx: list[int], vals: list[float]) -> list[tuple[int, ...]] | None:
+    """Every set of picks _top_cells can return, whatever order np.argsort
+    gives equal values, as sorted tuples; None past _MAX_TIED or
+    _MAX_STATES.
+
+    idx and vals list every grid point whose value is at least the last
+    pick's, by value descending and index ascending among equals.  The
+    greedy takes the levels of equal value in turn, so only the order within
+    a level is open, and within it only among the members no earlier pick
+    blocks: each reachable set grows by every order of those members.  When
+    they are at least 4 apart and all fit, every order takes them all.
+    """
+    picks, blocked = [], set()  # the one reachable set and the indices within 3 of it
+    states = None  # every reachable (picks, blocked), once a level has branched
+    start, size = 0, len(idx)
+    while start < size:
+        stop = start + 1
+        while stop < size and vals[stop] == vals[start]:
+            stop += 1
+        if states is None and stop == start + 1:  # one member: the common case
+            i = idx[start]
+            start = stop
+            if i not in blocked:
+                picks.append(i)
+                if len(picks) == _CELLS:
+                    return [tuple(sorted(picks))]
+                blocked.update(range(i - 3, i + 4))
+            continue
+        level = idx[start:stop]
+        start = stop
+        if states is None:
+            free = [i for i in level if i not in blocked]
+            if len(picks) + len(free) <= _CELLS and all(b - a >= 4 for a, b in zip(free, free[1:])):
+                for i in free:
+                    picks.append(i)
+                    blocked.update(range(i - 3, i + 4))
+                if len(picks) == _CELLS:
+                    return [tuple(sorted(picks))]
+                continue
+            states = [(picks, blocked)]
+        grown = {}
+        for picks, blocked in states:
+            free = [i for i in level if i not in blocked]
+            if len(free) > _MAX_TIED and len(picks) < _CELLS:
+                return None
+            for order in permutations(free) if len(picks) < _CELLS else [()]:
+                new, near = list(picks), set(blocked)
+                for i in order:
+                    if len(new) < _CELLS and i not in near:
+                        new.append(i)
+                        near.update(range(i - 3, i + 4))
+                grown.setdefault(tuple(sorted(new)), (new, near))
+        if len(grown) > _MAX_STATES:
+            return None
+        states = list(grown.values())
+        if all(len(picks) == _CELLS for picks, _ in states):
+            return list(grown)
+    return None
+
+
+def _cell_bounds(
+    coarse: np.ndarray, theta: np.ndarray, n: int | None, sign: int, grid_size: int, floor
+) -> np.ndarray:
+    """bound[b, c] >= sign * f at every grid point between coarse points c
+    and c + 1 (the last cell ends at index 0, one period on), f = log|L|
+    (n None, sign 1) or S_n (n >= 1) of the zero angles theta[b], given
+    coarse[b, c] = sign * f at coarse point c as zero_sums computes it.
+
+    A cell [a, b] is at most w = _COARSE / grid_size wide.  If f'' >= -K on
+    it, f + K (x - a)(x - b)/2 is convex, so f <= max(f(a), f(b)) + K w^2/8.
+    S_n' = S_(n-1), and S_0 falls with slope -2g and jumps up by one at each
+    zero angle, so:
+
+    - S_1, upper: S_1'' = -2g between zeros and each zero adds a convex
+      kink, so K = 2g and the pad is g w^2/4;
+    - S_1, lower: -S_1 is convex between zeros and each zero inside the
+      cell adds a concave kink, a delta of mass -1 in -S_1''.  Green's
+      function of [a, b] is at most w/4, so the pad is w/4 per zero in
+      [a, b);
+    - S_n, n >= 2, both sides: |S_n''| = |S_(n-2)| <= 2g max|B_(n-1)|/(n-1)!,
+      so K is that and the pad K w^2/8;
+    - log|L| = sum_j log 2|sin pi(theta - theta_j)|: its second derivative
+      is -pi^2 sum_j csc^2 pi(theta - theta_j), so K = pi^2 sum_j
+      csc^2(pi d_j), d_j the nearest circular distance from theta_j to the
+      cell, and sin x >= x - x^3/6 bounds each term.  First every d_j is
+      taken as the nearest zero's, d; the cells whose bound still reaches
+      floor[b] then take the sum itself, or, if smaller, sum_j
+      log 2 sin(pi D_j) with D_j the farthest distance: each term is at
+      most that, and cos y <= 1 - y^2/2 + y^4/24 at y = pi (1/2 - D_j)
+      bounds the sine.  A cell within _NEAR_ZERO of a zero angle gets +inf:
+      it is always evaluated.
+
+    Every bound adds _CELL_EPS per zero angle for the rounding of the
+    three values it compares (and each distance is pushed 1e-15 the safe
+    way); log|L| also adds 2^-50 / d_j per zero, the error of a term whose
+    computed fractional part is off by an ulp.
+    """
+    blocks, count = theta.shape
+    g = count // 2
+    step = _COARSE / grid_size
+    top = np.maximum(coarse, np.roll(coarse, -1, axis=1)) + _CELL_EPS * count
+    if n is not None and n >= 2:
+        curvature = 2.0 * g * max(map(abs, TABLE.extrema(n - 1))) / math.factorial(n - 1)
+        return top + curvature * step**2 / 8.0
+    if n == 1 and sign > 0:
+        return top + g * step**2 / 4.0
+    left = np.arange(0, grid_size, _COARSE) / float(grid_size)
+    if n == 1:
+        kinks = np.zeros(coarse.shape)
+        cell = np.searchsorted(left, theta.reshape(-1), side="right") - 1
+        np.add.at(kinks, (np.repeat(np.arange(blocks), count), cell), 1.0)
+        return top + kinks * (step / 4.0)
+    if not count:
+        return top
+    right = np.append(left[1:], 1.0)
+    nearest = np.empty(coarse.shape)  # d: from the cell to the nearest zero angle
+    for b, zeros in enumerate(np.sort(theta, axis=1)):
+        before = np.searchsorted(zeros, left, side="right") - 1  # the last zero <= a
+        after = np.searchsorted(zeros, right, side="left")  # the first zero >= b
+        back = left - zeros[before] + (before < 0)
+        ahead = np.where(after < count, zeros[after % count], zeros[0] + 1.0) - right
+        nearest[b] = np.where(after > before + 1, 0.0, np.minimum(back, ahead))
+    nearest -= 1e-15
+    near = nearest < _NEAR_ZERO
+    x = math.pi * nearest
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = top + count * (math.pi * step) ** 2 / 8.0 / (x * (1.0 - x * x / 6.0)) ** 2
+        bound += count * 2.0**-50 / nearest
+    bound[near] = np.inf
+    rows, cols = np.nonzero((bound >= np.broadcast_to(floor, (blocks,))[:, None]) & ~near)
+    zeros = theta[rows].T  # (zeros, cells), no zero angle inside its cell
+    width = right[cols] - left[cols]
+    ahead = zeros - left[cols]  # theta_j - a, mod 1
+    ahead -= np.floor(ahead)
+    past = ahead - width  # theta_j - b, mod 1
+    past -= np.floor(past)
+    antipode = ahead + 0.5
+    antipode -= np.floor(antipode)
+    apart = np.minimum(past, 1.0 - ahead) - 1e-15
+    farthest = np.maximum(np.minimum(ahead, 1.0 - ahead), np.minimum(past, 1.0 - past))
+    farthest[antipode <= width] = 0.5
+    x = math.pi * apart
+    y = np.maximum(0.5 - 1e-15 - farthest, 0.0) * math.pi
+    y *= y
+    curvature = (1.0 / (x * (1.0 - x * x / 6.0)) ** 2).sum(axis=0) * (math.pi * step) ** 2 / 8.0
+    summit = np.log(2.0 - y + y * y / 12.0).sum(axis=0) + _CELL_EPS * count
+    sharp = np.minimum(top[rows, cols] + curvature, summit) + 2.0**-50 * (1.0 / apart).sum(axis=0)
+    bound[rows, cols] = np.minimum(bound[rows, cols], sharp)
+    return bound
+
+
+def _full_grid(theta: np.ndarray, n: int | None, grid: np.ndarray) -> np.ndarray:
+    """log|L| (n None; -inf off the finite values) or S_n on the whole grid,
+    in slices of _GRID_SLICE points."""
+    vals = np.empty(len(grid))
+    for start in range(0, len(grid), _GRID_SLICE):
+        stop = start + _GRID_SLICE
+        zero_sums(fractional_parts(grid[start:stop], theta), n, out=vals[start:stop])
+    return np.where(np.isfinite(vals), vals, -np.inf) if n is None else vals
+
+
+def _coarse_plans(theta: np.ndarray, orders: list[int | None], grid: np.ndarray) -> dict:
+    """Steps 1-4 of block_extrema for the zero angles theta[b]: (b, k,
+    sign) -> (pick sets or None past the caps, candidates (indices, values),
+    max, first argmax) of sign * f, f the target of orders[k]."""
+    size, blocks = len(grid), len(theta)
+    coarse = np.arange(0, size, _COARSE)
+    cells = len(coarse)
+    frac = fractional_parts(np.tile(grid[coarse], blocks), np.repeat(theta.T, cells, axis=1))
+    plans = {}
+    for k, n in enumerate(orders):
+        vals = zero_sums(frac, n).reshape(blocks, cells)
+        if n is None:
+            vals = np.where(np.isfinite(vals), vals, -np.inf)
+        sides, need = [], np.zeros((blocks, cells), dtype=bool)
+        for sign in (1,) if n is None else (1, -1):
+            signed = vals if sign > 0 else -vals
+            floor = np.partition(signed, cells - _CELLS, axis=1)[:, cells - _CELLS]
+            need |= _cell_bounds(signed, theta, n, sign, size, floor) >= floor[:, None]
+            sides.append((sign, signed, floor))
+        rows, cols = np.nonzero(need)
+        points = (coarse[cols][:, None] + np.arange(1, _COARSE)).reshape(-1)
+        owner = np.repeat(rows, _COARSE - 1)
+        points, owner = points[points < size], owner[points < size]
+        fine = zero_sums(fractional_parts(grid[points], np.ascontiguousarray(theta[owner].T)), n)
+        if n is None:
+            fine = np.where(np.isfinite(fine), fine, -np.inf)
+        for sign, signed, floor in sides:
+            fine_signed = fine if sign > 0 else -fine
+            hit, fine_hit = signed >= floor[:, None], fine_signed >= floor[owner]
+            hit_rows, hit_cols = np.nonzero(hit)
+            b_all = np.concatenate([hit_rows, owner[fine_hit]])
+            i_all = np.concatenate([coarse[hit_cols], points[fine_hit]])
+            v_all = np.concatenate([signed[hit], fine_signed[fine_hit]])
+            order = np.lexsort((i_all, -v_all, b_all))
+            cuts = np.searchsorted(b_all[order], np.arange(blocks + 1)).tolist()
+            i_all, v_all = i_all[order].tolist(), v_all[order].tolist()
+            for b in range(blocks):
+                idx, val = i_all[cuts[b] : cuts[b + 1]], v_all[cuts[b] : cuts[b + 1]]
+                # an extremum of 0.0 takes the slow path: whether it reads
+                # 0.0 or -0.0 is up to numpy's max
+                sets = _pick_sets(idx, val) if val[0] != 0.0 else None
+                plans[b, k, sign] = (sets, (idx, val), val[0], idx[0])
+    return plans
+
+
+def _grid_extrema(zero_sets: list[ZeroAngles], orders: list[int | None], grid: np.ndarray):
+    """(sides, slow): sides[b, k, sign] is (value, argument) of the maximum
+    of sign * f for f = log|L| (orders[k] None, sign 1 only) or S_n (orders[k]
+    = n >= 1, signs 1 and -1) of zero_sets[b]; slow lists the triples
+    (b, k, sign) that took the slow path.  See block_extrema."""
+    size, blocks, count = len(grid), len(zero_sets), zero_sets[0].count
+    theta = np.array([zeros.theta for zeros in zero_sets], dtype=float).reshape(blocks, count)
+    # coarse passes of at most DEFAULT_GRID points, or of one zero set, so
+    # memory grows with grid_size and not with grid_size times the block
+    per = max(1, DEFAULT_GRID * _COARSE // size)
+    plans = {}
+    for lo in range(0, blocks, per):
+        for (b, k, sign), plan in _coarse_plans(theta[lo : lo + per], orders, grid).items():
+            plans[lo + b, k, sign] = plan
+
+    def slow_picks(b, k, sign):
+        """The full grid's picks of _top_cells, maximum and first argmax."""
+        vals = _full_grid(theta[b], orders[k], grid)
+        if sign > 0:
+            return tuple(_top_cells(vals).tolist()), vals.max(), int(np.argmax(vals))
+        return tuple(_top_cells(-vals).tolist()), -vals.min(), int(np.argmin(vals))
+
+    slow = {}  # (b, k, sign) -> its picks, on the slow path
+    for key, (sets, _, _, _) in plans.items():
+        if sets is None:  # past the caps
+            slow[key], top, first = slow_picks(*key)
+            plans[key] = (None, None, top, first)
+
+    # lanes: per order, every pick of its upper sides, then of its lower sides
+    lane_b, lane_i, spans, where = [], [], [], {}
+    for k, n in enumerate(orders):
+        lo = len(lane_b)
+        for sign in (1, -1):
+            if sign < 0:
+                mid = len(lane_b)
+            for b in range(blocks):
+                if (b, k, sign) in plans:
+                    sets = plans[b, k, sign][0]
+                    picks = slow[b, k, sign] if sets is None else sorted(set().union(*sets))
+                    where[b, k, sign] = dict(zip(picks, range(len(lane_b), len(lane_b) + len(picks))))
+                    lane_b.extend([b] * len(picks))
+                    lane_i.extend(picks)
+        spans.append((lo, mid, len(lane_b), n))
+    cols = np.ascontiguousarray(theta[lane_b].T)
+
+    def f(x):
+        frac = fractional_parts(x, cols)
+        fx = np.empty(len(x))
+        for lo, mid, hi, n in spans:
+            zero_sums(frac[:, lo:hi], n, out=fx[lo:hi])
+            np.negative(fx[mid:hi], out=fx[mid:hi])
+        return fx
+
+    xs, fx = _vector_golden_max(f, grid[lane_i], 1.0 / size)
+    refined = fx.tolist()
+
+    def outcome(picks, known, top, lanes):
+        """The lane a pick set refines to, "grid" when the grid maximum
+        wins, None when the tie order among equal grid values decides."""
+        best = max(refined[lanes[i]] for i in picks)
+        if not best >= top:
+            return "grid"
+        tied = [i for i in picks if refined[lanes[i]] == best]
+        if len(tied) > 1:
+            value = dict(zip(*known))
+            highest = max(value[i] for i in tied)
+            tied = [i for i in tied if value[i] == highest]
+        return tied[0] if len(tied) == 1 else None
+
+    sides = {}
+    for key, (sets, known, top, first) in plans.items():
+        lanes = where[key]
+        results = {None} if sets is None else {outcome(picks, known, top, lanes) for picks in sets}
+        if len(results) > 1 or None in results:  # the tie order decides: the slow path
+            if key not in slow:
+                slow[key], top, first = slow_picks(*key)
+                if not lanes.keys() >= set(slow[key]):
+                    raise ConsistencyError(f"grid picks {slow[key]} fell outside the certified cells")
+            won = slow[key][int(np.argmax([refined[lanes[i]] for i in slow[key]]))]
+            results = {won if refined[lanes[won]] >= top else "grid"}
+        (won,) = results
+        if won == "grid":
+            sides[key] = (float(top), float(grid[first]))
+        else:
+            sides[key] = (float(fx[lanes[won]]), float(xs[lanes[won]] % 1.0))
+    return sides, list(slow)
+
+
 def block_extrema(
     zero_sets: list[ZeroAngles], targets: list[tuple[str, int | None]], grid_size: int = DEFAULT_GRID
 ) -> list[list[EmpiricalExtrema]]:
@@ -327,12 +627,40 @@ def block_extrema(
     a block of zero sets of one count and (target, n) pairs as parse_target
     gives them; one list per zero set, aligned with targets.
 
-    Each modulus's grid is evaluated in slices of one fractional-part
-    matrix shared by all targets and summarized at once.  The refinements
-    of the whole block then run as lanes of one search: _CELLS lanes per
-    (modulus, target, side), each with its own column of zeros, lower
-    sides on the negated function.  Every step is elementwise or a sum
-    down one column, so a modulus's extrema do not depend on its block.
+    The values are those of the full grid i/grid_size: the maximum of
+    sign * f and its first index, then golden-section maxima (30 steps,
+    half-width one grid step) around the _CELLS picks of _top_cells, the
+    largest grid values at least 4 apart in np.argsort order; the first
+    best lane wins when it is not below the grid maximum.  Lower sides are
+    the maxima of -f.  A (modulus, target, side), a triple, reaches them
+    without the full grid:
+
+    1. Coarse pass: every _COARSE-th grid point, for the whole block in
+       fractional-part matrices of at most DEFAULT_GRID columns (or one
+       zero set's).  A column's value does not depend on the others', so
+       these are the full grid's own values.  Let T0 be the
+       _CELLS-th largest.  Each pick blocks 7 indices, which hold at most
+       one coarse point, so every pick is at least T0 in every tie order.
+    2. Cell bounds (_cell_bounds): a proven upper bound on every grid value
+       between two coarse points.
+    3. Fine pass: the cells whose bound reaches T0, all of the block's at
+       once.  Every grid point valued T0 or more is then known.
+    4. Tie-order closure (_pick_sets): np.argsort's order among equal values
+       depends on the whole array and numpy's SIMD sort kernel, and ties are
+       the rule (mirror twins of the even targets), so every pick set the
+       greedy can reach is enumerated.  The union of their picks is refined,
+       as lanes of one search for the block with its own column of zeros each.
+    5. Decision: if every reachable set refines to the same lane (exactly
+       tied refined values go to the larger grid value, the earlier pick),
+       or every set loses to the grid maximum, that is the result.
+       Otherwise, or past the closure's caps, the triple takes the slow
+       path: its full grid (_full_grid) and the _top_cells picks.  The
+       slow path is the only user of _top_cells and of the full grid; a
+       canonical tie order among equal values (ROADMAP Direction 13) would
+       remove it.
+
+    Every step is elementwise or a sum down one column, so a modulus's
+    extrema do not depend on its block.
 
     The order-0 argument sum decreases between its upward jumps, so its
     supremum and infimum live at one-sided limits of the jumps; those are
@@ -348,72 +676,19 @@ def block_extrema(
         raise ValueError("a block takes zero sets of one count")
     grid = np.arange(grid_size) / float(grid_size)
     orders = [None if target == "logmod" else n for target, n in targets]
-    # lane groups, target by target: logmod refines its maximum, S_n (n >= 1)
-    # its maximum then its minimum, both in one span of lanes; S_0 is exact
-    # at its jumps
-    group, spans, groups = {}, [], 0
-    for t, n in enumerate(orders):
-        if n != 0:
-            group[t] = groups
-            groups += 1 if n is None else 2
-            spans.append((group[t], groups, n))
-    blocks = len(zero_sets)
-    centers = np.empty((groups, blocks, _CELLS))
-    grid_extremes = {}
+    on_grid = [t for t, n in enumerate(orders) if n != 0]
     out = [[None] * len(targets) for _ in zero_sets]
-    vals = np.empty((len(targets), grid_size))
-    on_grid = [(t, n) for t, n in enumerate(orders) if n != 0]
-    for b, zeros in enumerate(zero_sets):
-        for start in range(0, grid_size if on_grid else 0, _GRID_SLICE):
-            frac = fractional_parts(grid[start : start + _GRID_SLICE], zeros.theta)
-            for t, n in on_grid:
-                zero_sums(frac, n, out=vals[t, start : start + _GRID_SLICE])
-        for t, n in enumerate(orders):
-            v = vals[t]
-            if n == 0:
+    if on_grid and zero_sets:
+        sides, _ = _grid_extrema(zero_sets, [orders[t] for t in on_grid], grid)
+        for b in range(len(zero_sets)):
+            for k, t in enumerate(on_grid):
+                hi, x_hi = sides[b, k, 1]
+                lo, x_lo = sides.get((b, k, -1), (None, None))
+                out[b][t] = EmpiricalExtrema(hi, x_hi, None if lo is None else -lo, x_lo)
+    for t, n in enumerate(orders):
+        if n == 0:
+            for b, zeros in enumerate(zero_sets):
                 out[b][t] = _s0_extrema(zeros, grid)
-                continue
-            if n is None:
-                v = np.where(np.isfinite(v), v, -np.inf)
-            grid_extremes[b, t] = (v.max(), int(np.argmax(v)), v.min(), int(np.argmin(v)))
-            centers[group[t], b] = grid[_top_cells(v)]
-            if n is not None:
-                centers[group[t] + 1, b] = grid[_top_cells(-v)]
-    if not groups or not zero_sets:
-        return out
-
-    lanes = blocks * _CELLS
-    angles = np.array([zeros.theta for zeros in zero_sets]).reshape(blocks, -1)
-    cols = np.tile(np.repeat(angles.T, _CELLS, axis=1), (1, groups))
-
-    def f(x):
-        frac = fractional_parts(x, cols)
-        fx = np.empty(len(x))
-        for lo, hi, n in spans:
-            zero_sums(frac[:, lo * lanes : hi * lanes], n, out=fx[lo * lanes : hi * lanes])
-            if n is not None:
-                np.negative(fx[(hi - 1) * lanes : hi * lanes], out=fx[(hi - 1) * lanes : hi * lanes])
-        return fx
-
-    xs, fx = _vector_golden_max(f, centers.reshape(-1), 1.0 / grid_size)
-    xs, fx = xs.reshape(centers.shape), fx.reshape(centers.shape)
-    best = np.argmax(fx, axis=2)
-    for (b, t), (vmax, imax, vmin, imin) in grid_extremes.items():
-        g = group[t]
-        x_hi, f_hi = xs[g, b, best[g, b]], fx[g, b, best[g, b]]
-        if orders[t] is None:
-            if f_hi >= vmax:
-                out[b][t] = EmpiricalExtrema(float(f_hi), float(x_hi % 1.0), None, None)
-            else:
-                out[b][t] = EmpiricalExtrema(float(vmax), float(grid[imax]), None, None)
-            continue
-        x_lo, f_lo = xs[g + 1, b, best[g + 1, b]], fx[g + 1, b, best[g + 1, b]]
-        out[b][t] = EmpiricalExtrema(
-            max(float(f_hi), float(vmax)),
-            float(x_hi % 1.0) if f_hi >= vmax else float(grid[imax]),
-            min(float(-f_lo), float(vmin)),
-            float(x_lo % 1.0) if -f_lo <= vmin else float(grid[imin]),
-        )
     return out
 
 
@@ -500,16 +775,45 @@ class ScanConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.grid_size < 2**10:
             raise ValueError("grid_size must be >= 1024")
+        if self.grid_size > ENUMERATION_BUDGET:
+            raise ResourceLimitError(
+                f"grid_size {self.grid_size} exceeds the budget of {ENUMERATION_BUDGET} grid points"
+            )
         if self.sample.startswith("random:") and int(self.sample.split(":", 1)[1]) < 0:
             raise ValueError(f"sample size must be >= 0, got {self.sample!r}")
+
+
+ROW_FIELDS = (
+    "q",
+    "d",
+    "D",
+    "c",
+    "target",
+    "n",
+    "N_used",
+    "mode",
+    "main_term",
+    "tail_term",
+    "rigorous_bound",
+    "empirical_max",
+    "argmax",
+    "ratio",
+)
 
 
 @dataclass
 class ScanResult:
     config: ScanConfig
-    rows: list[dict]
+    table: list[tuple]  # one tuple per row, in ROW_FIELDS order
     violations: list[str]
     aggregates: dict
+
+    @property
+    def rows(self) -> list[dict]:
+        """The rows as dicts keyed by ROW_FIELDS, c as a list, built on each
+        access.  A scan holds its rows as tuples, which take a third of the
+        memory of dicts and which the garbage collector stops tracking."""
+        return [dict(zip(ROW_FIELDS, row), c=list(row[3])) for row in self.table]
 
 
 def sample_moduli(config: ScanConfig) -> list[Poly]:
@@ -615,6 +919,7 @@ def _scan_block(moduli, Ls, zero_sets, extrema, config: ScanConfig, layer: _Boun
     slack = config.soundness_slack
     rows, violations = [], []
     for b, (D, L, exts) in enumerate(zip(moduli, Ls, extrema)):
+        name = str(D)
         for tag, (target, n), ext in zip(config.targets, targets, exts):
             for mode in ("weil", "exact"):
                 rep_up = reports[mode, (target, n, "upper")][b]
@@ -641,22 +946,22 @@ def _scan_block(moduli, Ls, zero_sets, extrema, config: ScanConfig, layer: _Boun
                                 )
             reported = reports[config.mode, (target, n, "upper")][b]
             rows.append(
-                {
-                    "q": q,
-                    "d": d,
-                    "D": str(D),
-                    "c": list(L.c),
-                    "target": target,
-                    "n": n,
-                    "N_used": reported.N_used,
-                    "mode": reported.mode,
-                    "main_term": reported.main_term,
-                    "tail_term": reported.tail_term,
-                    "rigorous_bound": reported.bound,
-                    "empirical_max": ext.max_value,
-                    "argmax": ext.argmax,
-                    "ratio": ext.max_value / envelope(q, d, target, n, "upper"),
-                }
+                (
+                    q,
+                    d,
+                    name,
+                    L.c,
+                    target,
+                    n,
+                    reported.N_used,
+                    reported.mode,
+                    reported.main_term,
+                    reported.tail_term,
+                    reported.bound,
+                    ext.max_value,
+                    ext.argmax,
+                    ext.max_value / envelope(q, d, target, n, "upper"),
+                )
             )
     return rows, violations
 
@@ -736,13 +1041,12 @@ def ensemble_scan(config: ScanConfig) -> ScanResult:
     return ScanResult(config, rows, violations, aggregates)
 
 
-def _aggregate(rows: list[dict], config: ScanConfig) -> dict:
+def _aggregate(table: list[tuple], config: ScanConfig) -> dict:
     out: dict = {}
     for tag in config.targets:
         target, n = parse_target(tag)
-        vals = np.array(
-            [r["empirical_max"] for r in rows if r["target"] == target and r["n"] == n]
-        )
+        picked = [row for row in table if row[4] == target and row[5] == n]  # ROW_FIELDS order
+        vals = np.array([row[11] for row in picked])
         if not len(vals):
             continue
         try:
@@ -751,7 +1055,7 @@ def _aggregate(rows: list[dict], config: ScanConfig) -> dict:
             # maxima a few ulps apart leave no room for 20 finite bins; take
             # the range numpy itself takes for equal values
             counts, edges = np.histogram(vals, bins=20, range=(vals.min() - 0.5, vals.max() + 0.5))
-        ratios = [r["ratio"] for r in rows if r["target"] == target and r["n"] == n]
+        ratios = [row[13] for row in picked]
         out[tag] = {
             "count": int(len(vals)),
             "max": float(vals.max()),

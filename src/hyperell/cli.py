@@ -170,7 +170,7 @@ def cmd_scan(args) -> int:
             "certification_margin": _CERT_TOL,
         },
         "git_describe": git_describe(),
-        "rows": len(result.rows),
+        "rows": len(result.table),
         "aggregates": result.aggregates,
         "violations": result.violations,
     }
@@ -182,7 +182,7 @@ def cmd_scan(args) -> int:
         for line in result.violations:
             print(f"SOUNDNESS VIOLATION: {line}", file=sys.stderr)
         return EXIT_SOUNDNESS
-    print(f"wrote {len(result.rows)} rows to {out} (manifest {manifest_path})")
+    print(f"wrote {len(result.table)} rows to {out} (manifest {manifest_path})")
     return EXIT_OK
 
 

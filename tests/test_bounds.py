@@ -7,10 +7,12 @@ import bound_oracle
 import extrema_oracle
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperell import bounds, onesided
 from hyperell.argfunc import argument_sum, log_modulus
 from hyperell.bounds import (
+    DEFAULT_GRID,
     SCAN_BLOCK,
     SCAN_TARGETS,
     ScanConfig,
@@ -32,7 +34,7 @@ from hyperell.bounds import (
 from hyperell.charsum import Character
 from hyperell.cli import rows_to_csv
 from hyperell.errors import CertificationError
-from hyperell.fqpoly import FieldSpec, enumerate_Hd
+from hyperell.fqpoly import FieldSpec, enumerate_Hd, parse_poly
 from hyperell.lfunc import ZeroAngles, compute_lpolynomial, find_zero_angles
 from hyperell.onesided import (
     TrigPoly,
@@ -455,16 +457,23 @@ def test_grid_size_validation(pipe_d5):
 
 @pytest.fixture(scope="module")
 def ensembles():
-    """Zero sets of all of F_3 H_5 and of a seeded 200-modulus sample of H_7."""
+    """Zero sets of all of F_3 H_5, of a seeded 200-modulus sample of H_7,
+    of a seeded 100-modulus sample of F_5 H_5 and of all of F_7 H_3."""
     h7 = random.Random(2024).sample(list(enumerate_Hd(F3, 7)), 200)
+    f5h5 = random.Random(55).sample(list(enumerate_Hd(FieldSpec(5), 5)), 100)
     return {
         name: [find_zero_angles(compute_lpolynomial(Character(D))) for D in Ds]
-        for name, Ds in (("h5", list(enumerate_Hd(F3, 5))), ("h7", h7))
+        for name, Ds in (
+            ("h5", list(enumerate_Hd(F3, 5))),
+            ("h7", h7),
+            ("f5h5", f5h5),
+            ("f7h3", list(enumerate_Hd(FieldSpec(7), 3))),
+        )
     }
 
 
 @pytest.mark.parametrize("grid_size", [2**10, 2**12, 2**14])
-@pytest.mark.parametrize("name", ["h5", "h7"])
+@pytest.mark.parametrize("name", ["h5", "h7", "f5h5", "f7h3"])
 def test_block_extrema_match_per_modulus_oracle(ensembles, name, grid_size):
     # a block of one, then full blocks, then a partial last block: every
     # extremum equals the per-modulus oracle's
@@ -563,6 +572,115 @@ def test_s0_arc_end_extrema_match_full_grid(grid_size):
     assert block_extrema([empty], [("s", 0)], grid_size)[0][0] == (
         extrema_oracle.empirical_extrema(empty, "s", 0, grid_size)
     )
+
+
+@pytest.fixture(scope="module")
+def cell_ensembles():
+    """Zero sets of all of F_3 H_5, seeded samples of H_7, of H_9 (2g = 8
+    zeros) and of F_5 H_5."""
+    picks = {
+        "h5": list(enumerate_Hd(F3, 5)),
+        "h7": random.Random(77).sample(list(enumerate_Hd(F3, 7)), 48),
+        "h9": random.Random(99).sample(list(enumerate_Hd(F3, 9)), 24),
+        "f5h5": random.Random(5).sample(list(enumerate_Hd(FieldSpec(5), 5)), 48),
+    }
+    return {
+        name: [find_zero_angles(compute_lpolynomial(Character(D))) for D in Ds]
+        for name, Ds in picks.items()
+    }
+
+
+@pytest.mark.parametrize("grid_size", [2**10, 3000, 2**14])
+def test_cell_bounds_hold_on_the_full_grid(cell_ensembles, grid_size):
+    # every grid value between two coarse points is at most its cell's
+    # bound, for every target and side, with log|L| sharpened in every cell
+    # (floor -inf) and in none (floor +inf); a short last cell wraps to 0
+    grid = np.arange(grid_size) / float(grid_size)
+    cells = -(-grid_size // bounds._COARSE)
+    sides = [(None, 1), (1, 1), (1, -1), (2, 1), (2, -1), (3, 1), (3, -1)]
+    for zero_sets in cell_ensembles.values():
+        for start in range(0, len(zero_sets), SCAN_BLOCK):
+            theta = np.array([zeros.theta for zeros in zero_sets[start : start + SCAN_BLOCK]])
+            for n, sign in sides:
+                full = sign * np.array([bounds._full_grid(row, n, grid) for row in theta])
+                inner = np.full((len(theta), cells * bounds._COARSE), -np.inf)
+                inner[:, :grid_size] = full
+                inner = inner.reshape(len(theta), cells, bounds._COARSE)[:, :, 1:].max(axis=2)
+                for floor in (-np.inf, np.inf):
+                    bound = bounds._cell_bounds(full[:, :: bounds._COARSE], theta, n, sign, grid_size, floor)
+                    assert (inner <= bound).all(), (n, sign, floor, float((inner - bound).max()))
+
+
+def _greedy(vals, order):
+    """The picks of _top_cells when np.argsort would give this order."""
+    picked = []
+    for idx in order:
+        if all(abs(int(idx) - p) >= 4 for p in picked):
+            picked.append(int(idx))
+        if len(picked) == bounds._CELLS:
+            break
+    return tuple(sorted(picked))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pick_sets_contain_every_tie_order(data):
+    # values with planted ties: mirror pairs i <-> size - i, equal
+    # neighbours up to 3 apart, and a rival for the 8th pick's value; every
+    # order of the equal values, np.argsort's included, picks one of the sets
+    size = data.draw(st.integers(64, 160), label="size")
+    top = data.draw(st.sampled_from([30, 10**6]), label="value range")
+    vals = np.array(data.draw(st.lists(st.integers(0, top), min_size=size, max_size=size)), dtype=float)
+    for i in data.draw(st.lists(st.integers(1, size - 1), max_size=16), label="mirrors"):
+        vals[size - i] = vals[i]
+    for i, gap in data.draw(st.lists(st.tuples(st.integers(0, size - 4), st.integers(1, 3)), max_size=8)):
+        vals[i + gap] = vals[i]
+    stable = _greedy(vals, np.lexsort((np.arange(size), -vals)))
+    rivals = [i for i in range(size) if all(abs(i - p) >= 4 for p in stable)]
+    if rivals:
+        eighth = min(stable, key=lambda p: vals[p])
+        vals[data.draw(st.sampled_from(rivals), label="rival")] = vals[eighth]
+    order = np.lexsort((np.arange(size), -vals))
+    sets = bounds._pick_sets(order.tolist(), vals[order].tolist())
+    assume(sets is not None)
+    assert bounds._top_cells(vals).size == bounds._CELLS
+    assert tuple(sorted(bounds._top_cells(vals).tolist())) in sets
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="orders"))
+    for _ in range(24):
+        assert _greedy(vals, np.lexsort((rng.permutation(size), -vals))) in sets
+
+
+def _slow_moduli(zero_sets, grid_size=DEFAULT_GRID):
+    """The indices of the zero sets with a (target, side) on the slow path
+    of the pruned grid, evaluated in scan blocks."""
+    grid = np.arange(grid_size) / float(grid_size)
+    slow = set()
+    for start in range(0, len(zero_sets), SCAN_BLOCK):
+        _, triples = bounds._grid_extrema(zero_sets[start : start + SCAN_BLOCK], [None, 1, 2], grid)
+        slow.update(start + b for b, _, _ in triples)
+    return slow
+
+
+def test_most_moduli_take_the_fast_path():
+    # 28 of these 400 moduli (7%) take the full grid for a (target, side);
+    # a regression that sent every triple there would keep every float and
+    # only lose the speed
+    Ds = random.Random(400).sample(list(enumerate_Hd(F3, 7)), 400)
+    zero_sets = [find_zero_angles(compute_lpolynomial(Character(D))) for D in Ds]
+    assert len(_slow_moduli(zero_sets)) <= 40
+
+
+@pytest.mark.parametrize("text", ["x^7+x+1", "x^7+x^5+2x^4+x+2", "x^7+x^5+x^4+x+1"])
+def test_slow_path_moduli_match_oracle(text):
+    # moduli whose S_1 minimum, log|L| maximum and S_1 maximum depend on the
+    # tie order of np.argsort: they go to the full grid, alone and in a block
+    zeros = find_zero_angles(compute_lpolynomial(Character(parse_poly(text, F3))))
+    assert _slow_moduli([zeros]) == {0}
+    targets = [parse_target(tag) for tag in SCAN_TARGETS]
+    want = [extrema_oracle.empirical_extrema(zeros, target, n) for target, n in targets]
+    assert block_extrema([zeros], targets)[0] == want
+    others = [find_zero_angles(compute_lpolynomial(Character(D))) for D in list(enumerate_Hd(F3, 7))[:15]]
+    assert block_extrema(others + [zeros], targets)[-1] == want
 
 
 def test_block_extrema_validation(ensembles):

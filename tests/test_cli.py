@@ -282,6 +282,22 @@ def test_scan_over_budget_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_scan_grid_over_budget_exits_2(tmp_path):
+    # a grid of more points than the enumeration budget is refused before
+    # anything is enumerated, from the flag and from a config file alike
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q=3\nd=3\ngrid=100000000000\n")
+    for args in (
+        ["--q", "3", "--d", "3", "--sample", "random:2", "--grid", "100000000000"],
+        ["--config", str(cfg)],
+    ):
+        proc = run_cli("scan", *args, "--out", str(tmp_path / "s.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+        assert "budget" in proc.stderr
+        assert not (tmp_path / "s.csv").exists()
+
+
 def test_solver_failure_exits_5(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise SolverError("dual unbounded: the primal program is infeasible")
