@@ -19,6 +19,7 @@ corrections are unknowable at desk scale.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .charsum import Character
 from .errors import ConsistencyError, ResourceLimitError
 from .fqpoly import ENUMERATION_BUDGET, FieldSpec, Poly, enumerate_Hd
 from .lfunc import ZeroAngles, block_lpolynomials, block_zero_angles
-from .onesided import block_one_sided, interval_poly_block
+from .onesided import _interval_coefficients, block_one_sided
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,11 +56,20 @@ def parse_target(tag: str) -> tuple[str, int | None]:
     if tag == "logmod":
         return "logmod", None
     if tag.startswith("s:"):
-        n = int(tag.split(":", 1)[1])
+        n = _spec_int(tag, "scan target", "logmod or s:n")
         if n < 0:
             raise ValueError(f"argument-sum order must be >= 0, got {n}")
         return "s", n
     raise ValueError(f"unknown scan target {tag!r} (expected logmod or s:n)")
+
+
+def _spec_int(spec: str, what: str, form: str) -> int:
+    """The integer after the first colon of spec; a ValueError that names
+    spec and its accepted form if there is none."""
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"{what} must be {form}, got {spec!r}") from None
 
 
 def degree_choice(q: int, d: int, n: int) -> int:
@@ -211,7 +221,7 @@ def _candidate_degrees(policy: str, q: int, d: int, n: int | None):
     if policy == "formula":
         return [degree_choice(q, d, n or 0)]
     if policy.startswith("fixed:"):
-        N = int(policy.split(":", 1)[1])
+        N = _spec_int(policy, "degree policy", "formula, exhaustive or fixed:N")
         if N < 0:
             raise ValueError(f"a fixed degree must be >= 0, got {N}")
         return [N]
@@ -704,30 +714,71 @@ def empirical_extrema(
 # ---------------------------------------------------------------------------
 
 
-def _s0_interval_bounds(g: int, points, degrees, weights) -> list[tuple[float, float]]:
+def _sawtooth_pairs(degrees) -> dict:
+    """{N: (minorant, majorant)} of the sawtooth B1 at each distinct degree,
+    all constructed in one block (block_one_sided)."""
+    Ns = sorted(set(degrees))
+    keys = [("sawtooth", side, N) for N in Ns for side in ("minorant", "majorant")]
+    polys = [res.poly for res in block_one_sided(keys)]
+    return {N: (polys[2 * i], polys[2 * i + 1]) for i, N in enumerate(Ns)}
+
+
+def _s0_interval_bounds(g: int, points, degrees, weights, sawtooth=None) -> list[tuple[float, float]]:
     """(upper, lower) of s0_bound_interval_method at each point, with its
     degree and its row of weights w_1.. (at least that many).
 
-    The interval polynomials of every distinct (t, N) are composed and
-    certified once, together per degree (interval_poly_block); the bounds
-    are then summed point by point.
+    sawtooth maps each degree to the sawtooth pair (P-, P+) of that degree
+    (_sawtooth_pairs, which is also the default); a scan passes its bound
+    layer's.  A point t in [0, 1/2] (odd symmetry folds the others) takes
+    the mean and the |V-hat(k)| of the composed pair
+    V-+ = 2t + P-+(-t - theta) + P-+(theta - t) straight from their
+    coefficients, for all points of one degree at once: the arithmetic of
+    interval_poly_block's composition and of TrigPoly.abs_fourier, with no
+    polynomial built.  Each tail is one 1-D product against w_1..w_N.
+
+    Why the pair needs no check of its own: with B1 the sawtooth (0 at the
+    integers) and 0 <= b - a <= 1, the identity
+
+        1_[a, b](theta) = (b - a) + B1(a - theta) + B1(theta - b)
+
+    holds at every theta, the ends included (1/2 on both sides).  So
+
+        V+(theta) - 1_[a, b](theta) = (P+ - B1)(a - theta) + (P+ - B1)(theta - b)
+
+    is at least twice the majorant's certified margin, and 1_[a, b] - V- at
+    least twice the minorant's.  block_one_sided raises on a margin below
+    -_CERT_TOL (1e-12), so the exact composition is one-sided within
+    2e-12.  The computed coefficients are each a few roundings of numbers
+    below 1 in size, and V-+ moves by at most the sum of their errors: a
+    few ulps per harmonic, under 1e-14 at N = 100 against 40-digit
+    arithmetic.  That is well inside the 1e-11 of
+    onesided._certify_intervals, which still checks extremal --target
+    interval:a:b on a grid.  An error e in V-+ moves a bound by at most
+    g e, far below the scan's soundness slack.
     """
     folded = []
     for theta in points:
         t = theta - math.floor(theta)
         folded.append((1.0 - t, True) if t > 0.5 else (t, False))
-    polys = {}
+    if sawtooth is None:
+        sawtooth = _sawtooth_pairs(degrees)
+    out = [None] * len(folded)
     for N in sorted(set(degrees)):
-        ts = list(dict.fromkeys(t for (t, _), M in zip(folded, degrees) if M == N))
-        polys.update(zip([(t, N) for t in ts], interval_poly_block([(-t, t) for t in ts], N)))
-    out = []
-    for (t, flip), N, w in zip(folded, degrees, weights):
-        minor, major = polys[t, N]
-        tail_plus = 2.0 * float(major.abs_fourier() @ w[:N]) if N > 0 else 0.0
-        tail_minus = 2.0 * float(minor.abs_fourier() @ w[:N]) if N > 0 else 0.0
-        upper = 0.5 * (2.0 * g * (major.mean - 2.0 * t) + tail_plus)
-        lower = 0.5 * (2.0 * g * (minor.mean - 2.0 * t) - tail_minus)
-        out.append((-lower, -upper) if flip else (upper, lower))
+        rows = [i for i, M in enumerate(degrees) if M == N]
+        ts = np.array([folded[i][0] for i in rows], dtype=float)
+        sides = []
+        for saw in sawtooth[N]:
+            mean, cos, sin = _interval_coefficients(saw, -ts, ts)
+            sides.append((mean.tolist(), np.hypot(cos, sin) / 2.0))
+        (minor_mean, minor_abs), (major_mean, major_abs) = sides
+        for j, i in enumerate(rows):
+            t, flip = folded[i]
+            w = weights[i][:N]
+            tail_plus = 2.0 * float(major_abs[j] @ w) if N > 0 else 0.0
+            tail_minus = 2.0 * float(minor_abs[j] @ w) if N > 0 else 0.0
+            upper = 0.5 * (2.0 * g * (major_mean[j] - 2.0 * t) + tail_plus)
+            lower = 0.5 * (2.0 * g * (minor_mean[j] - 2.0 * t) - tail_minus)
+            out[i] = (-lower, -upper) if flip else (upper, lower)
     return out
 
 
@@ -779,8 +830,22 @@ class ScanConfig:
             raise ResourceLimitError(
                 f"grid_size {self.grid_size} exceeds the budget of {ENUMERATION_BUDGET} grid points"
             )
-        if self.sample.startswith("random:") and int(self.sample.split(":", 1)[1]) < 0:
-            raise ValueError(f"sample size must be >= 0, got {self.sample!r}")
+        if not (math.isfinite(self.soundness_slack) and self.soundness_slack >= 0):
+            raise ValueError(f"soundness slack must be finite and >= 0, got {self.soundness_slack!r}")
+        _sample_count(self.sample)  # raises on a bad sample spec
+
+
+def _sample_count(sample: str) -> int | None:
+    """The m of a random:m sample spec, None for all; raises ValueError
+    naming any other spec."""
+    if sample == "all":
+        return None
+    if not sample.startswith("random:"):
+        raise ValueError(f"sample must be all or random:m, got {sample!r}")
+    count = _spec_int(sample, "sample", "all or random:m")
+    if count < 0:
+        raise ValueError(f"sample size must be >= 0, got {sample!r}")
+    return count
 
 
 ROW_FIELDS = (
@@ -819,64 +884,75 @@ class ScanResult:
 def sample_moduli(config: ScanConfig) -> list[Poly]:
     """The scan's modulus list, ascending encoding order, deterministic."""
     field = FieldSpec(config.q)
-    if config.sample == "all":
+    count = _sample_count(config.sample)
+    if count is None:
         return list(enumerate_Hd(field, config.d))
-    if config.sample.startswith("random:"):
-        import random as _random
+    import random as _random
 
-        count = int(config.sample.split(":", 1)[1])
-        total = config.q**config.d - config.q ** (config.d - 1)
-        if count > total:
-            raise ValueError(f"requested {count} moduli but the ensemble has {total}")
-        rng = _random.Random(config.seed)
-        from .fqpoly import _squarefree_tuple
+    total = config.q**config.d - config.q ** (config.d - 1)
+    if count > total:
+        raise ValueError(f"requested {count} moduli but the ensemble has {total}")
+    rng = _random.Random(config.seed)
+    from .fqpoly import _squarefree_tuple
 
-        picked: set[int] = set()
-        while len(picked) < count:
-            enc = rng.randrange(config.q**config.d)
-            if enc in picked:
-                continue
-            f = Poly.decode_monic(field, config.d, enc)
-            if _squarefree_tuple(f.coeffs, config.q):
-                picked.add(enc)
-        return [Poly.decode_monic(field, config.d, e) for e in sorted(picked)]
-    raise ValueError(f"unknown sample spec {config.sample!r}")
+    picked: set[int] = set()
+    while len(picked) < count:
+        enc = rng.randrange(config.q**config.d)
+        if enc in picked:
+            continue
+        f = Poly.decode_monic(field, config.d, enc)
+        if _squarefree_tuple(f.coeffs, config.q):
+            picked.add(enc)
+    return [Poly.decode_monic(field, config.d, e) for e in sorted(picked)]
 
 
 class _BoundLayer(NamedTuple):
-    """What a scan's bound layer shares across its chunks and blocks."""
+    """What a scan's bound layer shares across its chunks and blocks, and
+    with later scans of the same (q, d, targets, policy)."""
 
     degrees: dict  # (target, n, side) -> the candidate degrees of the policy
     fourier: dict  # key -> {N: (W-hat(0), |W-hat(k)| for k = 1..N)}
     weil_weights: np.ndarray  # w_1..w_top for the largest candidate degree top
     weil: dict  # key -> weil-mode report: it depends on the zeros only via 2g
+    sawtooth: dict  # N -> the sawtooth pair, at each degree of S_0's checks
 
 
 def _bound_layer(config: ScanConfig) -> _BoundLayer:
-    """The scan's bound layer for moduli of degree config.d = 2g + 1, built
-    once per scan before the pool forks.
+    """The scan's bound layer for moduli of degree config.d = 2g + 1: built
+    before the pool forks, once per (q, d, targets, policy) in a process
+    (_shared_layer), and shared by every later scan of the same four."""
+    return _shared_layer(config.q, config.d, tuple(config.targets), config.policy)
+
+
+@functools.cache
+def _shared_layer(q: int, d: int, targets: tuple[str, ...], policy: str) -> _BoundLayer:
+    """The bound layer of _bound_layer, its arrays read-only.
 
     It constructs every one-sided polynomial of its keys at their candidate
     degrees in one block.  These include the S_0 interval checks' sawtooth
     pair (bernoulli:1 on both sides at S_0's degrees), so the workers
     inherit every construction certified."""
-    q, d = config.q, config.d
     keys = list(
         dict.fromkeys(
             (target, n, side)
-            for target, n in map(parse_target, config.targets)
+            for target, n in map(parse_target, targets)
             for side in (("upper",) if target == "logmod" else ("upper", "lower"))
         )
     )
-    degrees = {key: _candidate_degrees(config.policy, q, d, key[1]) for key in keys}
+    degrees = {key: _candidate_degrees(policy, q, d, key[1]) for key in keys}
     fourier = _one_sided_fourier(degrees)
+    for by_degree in fourier.values():
+        for _, absw in by_degree.values():
+            absw.setflags(write=False)
     top = max((max(degrees[key]) for key in keys), default=0)
     weil_weights = _tail_weights(q, top, "weil")
+    weil_weights.setflags(write=False)
     weil = {
         key: _select_bounds((d - 1) // 2, q, key, "weil", degrees[key], fourier[key], weil_weights)[0]
         for key in keys
     }
-    return _BoundLayer(degrees, fourier, weil_weights, weil)
+    sawtooth = _sawtooth_pairs(degrees.get(("s", 0, "upper"), ()))
+    return _BoundLayer(degrees, fourier, weil_weights, weil, sawtooth)
 
 
 def _block_reports(zero_sets: list[ZeroAngles], config: ScanConfig, layer: _BoundLayer):
@@ -902,8 +978,8 @@ def _scan_block(moduli, Ls, zero_sets, extrema, config: ScanConfig, layer: _Boun
     """Rows and soundness checks for a block of moduli of one degree, given
     their L-polynomials, zero angles and extrema (one list per modulus,
     aligned with config.targets) and the scan's bound layer
-    (_bound_layer); the S_0 interval checks of the whole block are
-    composed and certified together."""
+    (_bound_layer); the S_0 interval checks of the whole block take their
+    bounds together, from the layer's sawtooth pair."""
     q, d = config.q, config.d
     targets = [parse_target(tag) for tag in config.targets]
     weights, reports = _block_reports(zero_sets, config, layer)
@@ -915,7 +991,8 @@ def _scan_block(moduli, Ls, zero_sets, extrema, config: ScanConfig, layer: _Boun
         for mode in ("weil", "exact")
         for point in (ext.argmax, ext.argmin)
     ]
-    interval = iter(_s0_interval_bounds(zero_sets[0].count // 2, *zip(*checks)) if checks else ())
+    g = zero_sets[0].count // 2
+    interval = iter(_s0_interval_bounds(g, *zip(*checks), layer.sawtooth) if checks else ())
     slack = config.soundness_slack
     rows, violations = [], []
     for b, (D, L, exts) in enumerate(zip(moduli, Ls, extrema)):

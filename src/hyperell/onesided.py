@@ -583,9 +583,10 @@ def construct_one_sided(target: str, side: str, N: int) -> OneSidedResult:
 # ---------------------------------------------------------------------------
 
 
-def _compose_intervals(saw: TrigPoly, alphas: np.ndarray, betas: np.ndarray) -> list[TrigPoly]:
-    """(beta-alpha) + P(alpha-theta) + P(theta-beta) in coefficient form,
-    one polynomial per interval [alpha, beta].
+def _interval_coefficients(saw: TrigPoly, alphas: np.ndarray, betas: np.ndarray):
+    """(a_0, a, b) of (beta-alpha) + P(alpha-theta) + P(theta-beta), one
+    row per interval [alpha, beta]: a_0 a vector, a = a_1..a_N and b =
+    b_1..b_N (intervals x N) arrays.
 
     Harmonic k takes c_k = conj(P-hat(k)) e(-k alpha) + P-hat(k) e(-k beta),
     with the rounding of complex scalar arithmetic: the exponent is
@@ -612,10 +613,15 @@ def _compose_intervals(saw: TrigPoly, alphas: np.ndarray, betas: np.ndarray) -> 
     a_re, a_im = times(fr, -fi, rotation(alphas))
     b_re, b_im = times(fr, fi, rotation(betas))
     re, im = a_re + b_re, a_im + b_im
-    const = (betas - alphas) + 2.0 * saw.mean
+    return (betas - alphas) + 2.0 * saw.mean, 2.0 * re, -2.0 * im
+
+
+def _compose_intervals(saw: TrigPoly, alphas: np.ndarray, betas: np.ndarray) -> list[TrigPoly]:
+    """(beta-alpha) + P(alpha-theta) + P(theta-beta) as a polynomial, one
+    per interval [alpha, beta] (_interval_coefficients)."""
+    const, cos, sin = _interval_coefficients(saw, alphas, betas)
     return [
-        TrigPoly((c0, *cos), tuple(sin))
-        for c0, cos, sin in zip(const.tolist(), (2.0 * re).tolist(), (-2.0 * im).tolist())
+        TrigPoly((c0, *a), tuple(b)) for c0, a, b in zip(const.tolist(), cos.tolist(), sin.tolist())
     ]
 
 

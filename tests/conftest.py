@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -20,3 +22,13 @@ def run_cli(*args, env_extra=None, cwd=None):
         cwd=cwd,
         timeout=600,
     )
+
+
+@pytest.fixture(autouse=True)
+def fresh_bound_layers():
+    """Each test builds the scan bound layers it asks for: a process keeps
+    every layer it built (bounds._shared_layer), and the tests that empty
+    the one-sided constructions' cache expect a scan to refill it."""
+    from hyperell import bounds
+
+    bounds._shared_layer.cache_clear()

@@ -318,8 +318,10 @@ def test_scan_interval_bounds_match_oracle(policy):
     # a slack of -inf turns each check into a violation that carries the
     # bound, which must equal the oracle's at the oracle's degree, at the
     # argmax then the argmin of S_0, weil then exact, for every modulus
-    # (F_3 H_5: ten full blocks and a partial one)
-    config = ScanConfig(q=3, d=5, targets=("s:0", "s:1"), policy=policy, soundness_slack=-math.inf)
+    # (F_3 H_5: ten full blocks and a partial one); ScanConfig refuses such
+    # a slack, so it is set past the check
+    config = ScanConfig(q=3, d=5, targets=("s:0", "s:1"), policy=policy)
+    object.__setattr__(config, "soundness_slack", -math.inf)
     found = [_INTERVAL_MISS.fullmatch(v) for v in ensemble_scan(config).violations]
     found = [m.groups() for m in found if m]
     moduli = sample_moduli(config)
@@ -336,6 +338,97 @@ def test_scan_interval_bounds_match_oracle(policy):
                 assert (_float(got_point), _float(got_value)) == (point, value)
                 want = bound_oracle.s0_bound_interval_method(zeros, 3, point, N, mode)
                 assert (_float(up), _float(lo)) == want
+
+
+@pytest.mark.parametrize("d, sample", [(5, "all"), (7, "random:64")])
+def test_scan_interval_pairs_are_one_sided_and_match_oracle(monkeypatch, d, sample):
+    # the scan takes its interval bounds from the sawtooth pair without
+    # composing a polynomial; its docstring proves each composed pair
+    # one-sided, and here every pair behind a check of the scan is composed
+    # and grid-certified (interval_poly_block raises otherwise), and each
+    # bound equals the scalar oracle's, weil and exact, bit for bit
+    real = bounds._s0_interval_bounds
+    calls = []
+
+    def record(g, points, degrees, weights, *rest):
+        got = real(g, points, degrees, weights, *rest)
+        calls.append(list(zip(points, degrees, weights, got)))
+        return got
+
+    monkeypatch.setattr(bounds, "_s0_interval_bounds", record)
+    config = ScanConfig(q=3, d=d, sample=sample, seed=12)
+    assert not ensemble_scan(config).violations
+    moduli = sample_moduli(config)
+    assert len(calls) == -(-len(moduli) // SCAN_BLOCK)
+    pairs = {}
+    for c, checks in enumerate(calls):
+        block = moduli[c * SCAN_BLOCK : (c + 1) * SCAN_BLOCK]
+        assert len(checks) == 4 * len(block)  # argmax, argmin per mode per modulus
+        for i, (theta, N, w, bound) in enumerate(checks):
+            zeros = find_zero_angles(compute_lpolynomial(Character(block[i // 4])))
+            mode = ("weil", "exact")[i // 2 % 2]
+            assert w[:N].tolist() == bound_oracle.tail_weights(zeros, 3, N, mode).tolist()
+            assert bound == bound_oracle.s0_bound_interval_method(zeros, 3, theta, N, mode)
+            t = theta - math.floor(theta)
+            pairs.setdefault(N, set()).add(min(t, 1.0 - t))
+    for N, ts in pairs.items():
+        assert len(interval_poly_block([(-t, t) for t in sorted(ts)], N)) == len(ts)
+
+
+def test_scan_path_never_grid_certifies(monkeypatch):
+    # neither the grid certification of composed pairs nor the composition
+    # itself runs on a scan, at one worker or two
+    def refuse(*args):
+        raise AssertionError("the scan composed or grid-certified an interval pair")
+
+    expected = ensemble_scan(ScanConfig(q=3, d=5, threads=1))
+    for name in ("_certify_intervals", "_uniform_values", "interval_poly_block", "_compose_intervals"):
+        monkeypatch.setattr(onesided, name, refuse)
+    for threads in (1, 2):
+        result = ensemble_scan(ScanConfig(q=3, d=5, threads=threads))
+        assert result.table == expected.table and not result.violations
+
+
+def test_bound_layer_is_built_once_per_key():
+    # scans that share (q, d, targets, policy) share one read-only layer,
+    # and a warm scan gives the rows of one whose layer was built afresh
+    configs = [
+        ScanConfig(q=3, d=5, sample="random:24", seed=1),
+        ScanConfig(q=3, d=5, sample="random:24", seed=2, mode="exact"),
+        ScanConfig(q=3, d=5, sample="random:24", seed=2, soundness_slack=1e-8),
+    ]
+    warm = [ensemble_scan(config).table for config in configs]
+    info = bounds._shared_layer.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    layer = _bound_layer(configs[0])
+    assert all(_bound_layer(config) is layer for config in configs)
+    assert _bound_layer(ScanConfig(q=3, d=5, policy="formula")) is not layer
+    assert not layer.weil_weights.flags.writeable
+    for by_degree in layer.fourier.values():
+        assert not any(absw.flags.writeable for _, absw in by_degree.values())
+    for config, table in zip(configs, warm):
+        bounds._shared_layer.cache_clear()
+        assert ensemble_scan(config).table == table
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("soundness_slack", math.nan, "soundness slack must be finite and >= 0, got nan"),
+        ("soundness_slack", math.inf, "soundness slack must be finite and >= 0, got inf"),
+        ("soundness_slack", -1e-300, "soundness slack must be finite and >= 0, got -1e-300"),
+        ("sample", "bogus", "sample must be all or random:m, got 'bogus'"),
+        ("sample", "random:abc", "sample must be all or random:m, got 'random:abc'"),
+        ("sample", "random:", "sample must be all or random:m, got 'random:'"),
+        ("sample", "random:-3", "sample size must be >= 0, got 'random:-3'"),
+        ("policy", "fixed:x", "degree policy must be formula, exhaustive or fixed:N, got 'fixed:x'"),
+        ("targets", ("logmod", "s:x"), "scan target must be logmod or s:n, got 's:x'"),
+    ],
+)
+def test_scan_config_names_a_bad_spec(field, value, message):
+    with pytest.raises(ValueError) as info:
+        ScanConfig(q=3, d=5, **{field: value})
+    assert str(info.value) == message
 
 
 def _outcome(certify, *args):

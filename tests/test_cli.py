@@ -275,6 +275,36 @@ def test_scan_rejects_negative_sample_size(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("slack", ["nan", "inf", "-1"])
+def test_scan_rejects_a_slack_that_is_not_finite_and_nonnegative(tmp_path, capsys, slack):
+    # nan and inf would turn every soundness check off, and a negative slack
+    # would report violations that are not there; flag and config file alike
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"q=3\nd=5\nslack={slack}\n")
+    out = tmp_path / "s.csv"
+    for args in (["--q", "3", "--d", "5", "--slack", slack], ["--config", str(cfg)]):
+        assert cli.main(["scan", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: soundness slack must be finite and >= 0")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--sample", "random:abc", "sample must be all or random:m, got 'random:abc'"),
+        ("--degree-policy", "fixed:x", "degree policy must be formula, exhaustive or fixed:N, got 'fixed:x'"),
+        ("--target", "s:x", "scan target must be logmod or s:n, got 's:x'"),
+    ],
+)
+def test_scan_names_a_bad_spec(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "s.csv"
+    assert cli.main(["scan", "--q", "3", "--d", "5", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_scan_over_budget_exits_2(tmp_path):
     proc = run_cli("scan", "--q", "3", "--d", "17", "--out", str(tmp_path / "s.csv"))
     assert proc.returncode == 2

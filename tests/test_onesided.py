@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from certify_oracle import certify as scalar_certify
 
-from hyperell import onesided
+from hyperell import bounds, onesided
 from hyperell.bernoulli import bernoulli_extrema
 from hyperell.bounds import ScanConfig, _bound_layer, ensemble_scan
 from hyperell.errors import CertificationError
@@ -244,6 +244,7 @@ def test_default_scan_warm_up_solves_no_lp(monkeypatch):
         _bound_layer(ScanConfig(q=q, d=d))
         assert set(onesided._CACHE) == set(onesided._read_store())
     monkeypatch.setattr(onesided, "_CACHE", {})
+    bounds._shared_layer.cache_clear()  # the layer of (3, 7) was built above
     result = ensemble_scan(ScanConfig(q=3, d=7, sample="random:3", seed=1))
     assert len({row["D"] for row in result.rows}) == 3 and not result.violations
 
